@@ -8,8 +8,9 @@ A clause is a list of such literals.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, TextIO
+from typing import Callable, Iterable, Mapping, TextIO
 
 
 class FormulaError(ValueError):
@@ -143,6 +144,40 @@ def verify_model(formula: Formula, assignment: Mapping[int, int]) -> bool:
 
 def falsified_soft_weight(formula: Formula, assignment: Mapping[int, int]) -> int:
     return sum(w for c, w in formula.soft if not clause_satisfied(c, assignment))
+
+
+def soft_unit_repair(
+    formula: Formula,
+) -> Callable[[Mapping[int, int]], dict[int, int]]:
+    """A function that makes falsified soft units of ``formula`` true where it can.
+
+    The returned ``repair(assignment)`` copies the assignment and, for each
+    falsified soft unit ``[lit]`` in turn, flips ``lit`` to true when every
+    clause of ``formula`` (hard or soft) containing ``-lit`` keeps another
+    true literal.  A model of the hard clauses stays one, and its falsified
+    soft weight never rises.  The occurrence lists are built once, here,
+    so one repairer serves every model of a search.
+    """
+    units = [c[0] for c, _ in formula.soft if len(c) == 1]
+    occurs: dict[int, list[list[int]]] = {-lit: [] for lit in units}
+    for clause in itertools.chain(formula.hard, (c for c, _ in formula.soft)):
+        for lit in clause:
+            if lit in occurs:
+                occurs[lit].append(clause)
+
+    def repair(assignment: Mapping[int, int]) -> dict[int, int]:
+        fixed = dict(assignment)
+        for lit in units:
+            if lit_true(lit, fixed):
+                continue
+            if all(
+                any(x != -lit and lit_true(x, fixed) for x in clause)
+                for clause in occurs[-lit]
+            ):
+                fixed[abs(lit)] = 1 if lit > 0 else 0
+        return fixed
+
+    return repair
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import cnf
 from .bdd import TruthTable
@@ -244,30 +244,29 @@ def encode_bdd2(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingCont
     return formula, ctx
 
 
-def encode_maxsat(
-    dataset: Dataset, depth: int, weights: Sequence[int] | None = None
-) -> tuple[cnf.Formula, EncodingContext]:
+def encode_maxsat(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingContext]:
     """Partial MaxSAT lift of the improved encoding.
 
-    Structural clauses and the feature-value links stay hard; every
-    classification clause becomes soft.  An example is classified
-    correctly iff all ``2**depth`` of its soft clauses hold, and wrongly
-    iff exactly one fails, so the optimum cost counts misclassified
-    examples (scaled by ``weights`` when given).
+    Structural clauses and the feature-value links stay hard.  Each
+    example ``q`` gets an error variable ``e[q]``, allocated after every
+    other variable so the context maps are unchanged; each of its
+    ``2**depth`` classification clauses becomes the hard clause
+    ``clause | e[q]``, and ``[-e[q]]`` is its one soft unit.  An example
+    is classified correctly iff all of its classification clauses hold,
+    and wrongly iff exactly one fails, which forces ``e[q]``; so the
+    optimum cost counts misclassified examples, with ``m`` soft clauses.
     """
     _check_depth(depth)
-    if weights is not None:
-        if len(weights) != dataset.m:
-            raise ValueError("need one weight per example")
-        if any(w < 1 for w in weights):
-            raise ValueError("weights must be >= 1")
     formula, ctx = _new_context(dataset, depth, MAXSAT)
     _structural_constraints(formula, ctx)
     _feature_value_links(formula, ctx, dataset)
+    errors = [formula.fresh_var() for _ in range(dataset.m)]
     n_cells = 1 << depth
     for idx, clause in enumerate(_classification_clauses(ctx, dataset)):
-        weight = 1 if weights is None else weights[idx // n_cells]
-        formula.add_soft(clause, weight)
+        clause.append(errors[idx // n_cells])
+        formula.add_hard(clause)
+    for e in errors:
+        formula.add_soft([-e])
     return formula, ctx
 
 

@@ -103,16 +103,14 @@ def _gini_split_cost(indices, labels, rows, feature) -> float | None:
 
 
 def preselect_features(
-    dataset: Dataset, max_depth: int, min_leaf: int = 1, seed: int = 0
+    dataset: Dataset, max_depth: int, min_leaf: int = 1
 ) -> tuple[int, ...]:
     """Features used by a greedy Gini-impurity tree grown on the dataset.
 
     Splits stop on purity, at ``max_depth``, below ``min_leaf`` examples,
     or when no split lowers the weighted impurity; ties pick the lowest
-    feature index.  A pure dataset yields the empty tuple.  ``seed`` is
-    accepted for interface symmetry; the construction is deterministic.
+    feature index.  A pure dataset yields the empty tuple.
     """
-    del seed
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     rows = dataset.features
@@ -179,6 +177,7 @@ def _stats_dict(stats: solve.SatStats, extra: dict | None = None) -> dict:
         "conflicts": stats.conflicts,
         "propagations": stats.propagations,
         "restarts": stats.restarts,
+        "learned_deleted": stats.learned_deleted,
         "elapsed": stats.elapsed,
     }
     if extra:
@@ -214,7 +213,7 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     feature_map: Sequence[int] = range(dataset.k)
     if cfg.preselect is not None:
         selected = preselect_features(
-            dataset, cfg.preselect.max_depth, cfg.preselect.min_leaf, cfg.seed
+            dataset, cfg.preselect.max_depth, cfg.preselect.min_leaf
         )
         # fall back to the full feature set when preselection leaves the
         # encoding without enough distinct features

@@ -6,7 +6,10 @@ directory, the command is run with the environment passed through, and
 the ``s``/``v``/``o`` lines of its stdout are parsed.  Models are always
 re-checked locally before they are accepted; exit codes 10/20 are used
 as status hints when no status line is printed.  Errors about output
-that cannot be used quote the last lines of the solver's stderr.
+that cannot be used quote the last lines of the solver's stderr.  A
+MaxSAT model has its falsified soft units made true wherever no clause
+breaks (:func:`bddlearn.cnf.soft_unit_repair`) before its cost is
+reported, so a non-optimal answer reports its real cost.
 
 The command runs with its working directory set to ``workdir`` (a
 temporary directory when called from ``search``), so relative paths in
@@ -116,6 +119,9 @@ def external_solve(
             f"solver reported cost {parsed.cost} but the model falsifies {cost}"
             f"{tail}"
         )
+    # a non-optimal model may falsify soft units it need not falsify
+    model = cnf.soft_unit_repair(formula)(model)
+    cost = cnf.falsified_soft_weight(formula, model)
     optimal = status == "OPTIMUM"
     return MaxSatResult(
         OPTIMUM if optimal else FEASIBLE, model, cost, optimal, stats, 1

@@ -1,12 +1,17 @@
 """Complete linear-search MaxSAT on top of the embedded CDCL solver.
 
-Each soft clause gets a fresh relaxation variable; a first SAT call gives
-an upper bound on the number of falsified soft clauses, and the search
-then tightens a cardinality bound over the relaxation variables until an
-UNSAT answer proves optimality.  The bound after every model is the
-recomputed count of soft clauses the model actually falsifies, which is
-tighter than the sum of relaxation variables whenever the solver set some
-of them gratuitously.
+Every soft clause has a relaxation literal that is true when the clause
+may fail.  A soft unit ``[lit]`` needs no new variable: ``-lit`` is its
+relaxation literal.  A longer soft clause gets a fresh variable ``b`` and
+the hard clause ``clause | b``.  A first SAT call gives an upper bound on
+the number of falsified soft clauses, and the search then tightens a
+cardinality bound over the relaxation literals until an UNSAT answer
+proves optimality.  Before it is counted, every model has its falsified
+soft units made true wherever no clause breaks
+(:func:`bddlearn.cnf.soft_unit_repair`).  The bound after every model is
+the recomputed count of soft clauses the repaired model falsifies, which
+is tighter than the number of true relaxation literals whenever the
+solver set some of them gratuitously.
 """
 
 from __future__ import annotations
@@ -42,8 +47,6 @@ def _merge_stats(total: SatStats, part: SatStats) -> None:
     total.propagations += part.propagations
     total.restarts += part.restarts
     total.learned_deleted += part.learned_deleted
-
-
 
 
 def maxsat_solve(
@@ -83,10 +86,14 @@ def maxsat_solve(
     relaxed = formula.copy()
     relax: list[int] = []
     for clause, _weight in relaxed.soft:
+        if len(clause) == 1:
+            relax.append(-clause[0])
+            continue
         b = relaxed.fresh_var()
         relaxed.add_hard(clause + [b])
         relax.append(b)
     relaxed.soft = []
+    repair = cnf.soft_unit_repair(formula)
 
     res = run_sat(relaxed)
     if res.status == TIMEOUT:
@@ -95,7 +102,8 @@ def maxsat_solve(
         raise SolverError("hard clauses are unsatisfiable")
 
     def restrict(model: dict[int, int]) -> dict[int, int]:
-        return {v: model[v] for v in range(1, orig_vars + 1)}
+        # drop the auxiliary variables, then clear gratuitous soft failures
+        return repair({v: model[v] for v in range(1, orig_vars + 1)})
 
     best_model = restrict(res.model)
     best_cost = cnf.falsified_soft_weight(formula, best_model)

@@ -201,6 +201,8 @@ def test_encode_maxsat_writes_wcnf(tmp_path, demo8_csv):
     )
     text = out.read_text()
     assert text.startswith("p wcnf ")
+    # one soft unit per example: the 8 weight-1 lines
+    assert sum(line.startswith("1 ") for line in text.splitlines()) == 8
     ctx = json.loads((tmp_path / "f.context.json").read_text())
     assert ctx["variant"] == "maxsat"
     assert ctx["depth"] == 2

@@ -174,13 +174,54 @@ def test_maxsat_matches_ordering_oracle():
         assert res.cost == best_split_error(ds, 2)
 
 
-def test_maxsat_weights_validated(demo8):
-    with pytest.raises(ValueError):
-        encode_maxsat(demo8, 2, weights=[1] * 7)
-    with pytest.raises(ValueError):
-        encode_maxsat(demo8, 2, weights=[0] * 8)
-    formula, _ = encode_maxsat(demo8, 2, weights=[2] * 8)
-    assert all(w == 2 for _, w in formula.soft)
+def test_maxsat_one_soft_unit_per_example(demo8):
+    depth = 2
+    formula, ctx = encode_maxsat(demo8, depth)
+    assert all(len(clause) == 1 and w == 1 for clause, w in formula.soft)
+    # one error variable per example, after every other variable
+    errors = [-clause[0] for clause, _ in formula.soft]
+    assert errors == list(range(formula.var_count - demo8.m + 1, formula.var_count + 1))
+    # the classification clauses come last, one per example and cell
+    n_cells = 1 << depth
+    clauses = formula.hard[-demo8.m * n_cells :]
+    for idx, clause in enumerate(clauses):
+        q = idx // n_cells
+        assert clause[-1] == errors[q]
+        cell = ctx.c[idx % n_cells]
+        assert clause[-2] in (cell, -cell)
+        assert set(map(abs, clause[:-2])) == {ctx.d[i][q] for i in range(depth)}
+    # the error variables occur in no other clause
+    error_vars = set(errors)
+    head = formula.hard[: -len(clauses)]
+    assert not any(abs(lit) in error_vars for clause in head for lit in clause)
+
+
+def test_soft_unit_repair_clears_gratuitous_errors():
+    rng = random.Random(17)
+    ds = random_dataset(rng, k=4, m=12)
+    depth = 2
+    formula, ctx = encode_maxsat(ds, depth)
+    res = maxsat_solve(formula, budget=30)
+    ordering, table = decode(res.model, ctx)
+    wrong = [
+        classify_table(table, ordering, row) != label
+        for row, label in zip(ds.features, ds.labels)
+    ]
+    errors = [-clause[0] for clause, _ in formula.soft]
+    assert sum(wrong) == res.cost
+    assert all(res.model[e] == int(w) for e, w in zip(errors, wrong))
+    right = [q for q in range(ds.m) if not wrong[q]]
+    assert len(right) >= 3
+    inflated = dict(res.model)
+    for q in right[:3]:
+        inflated[errors[q]] = 1
+    assert cnf.verify_model(formula, inflated)
+    assert cnf.falsified_soft_weight(formula, inflated) == res.cost + 3
+    repaired = cnf.soft_unit_repair(formula)(inflated)
+    assert cnf.verify_model(formula, repaired)
+    assert all(repaired[errors[q]] == 0 for q in right)
+    assert cnf.falsified_soft_weight(formula, repaired) == sum(wrong)
+    assert inflated[errors[right[0]]] == 1  # the input is left as it was
 
 
 def test_decode_reference_model(demo8):

@@ -101,6 +101,7 @@ def test_learn_demo8_maxsat(demo8):
     assert node_count(model.bdd) <= 4
     assert model.literal_count > 0
     assert model.solver_stats["cost"] == 0
+    assert model.solver_stats["learned_deleted"] >= 0
 
 
 def test_learn_single_class_short_circuit():

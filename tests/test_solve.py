@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from bddlearn import cnf
+from bddlearn.encode import encode_maxsat
 from bddlearn.solve import (
     FEASIBLE,
     OPTIMUM,
@@ -270,6 +271,20 @@ def test_external_wcnf_cost_mismatch_is_rejected(tmp_path):
     script.write_text("print('o 0')\nprint('s OPTIMUM FOUND')\nprint('v -1 0')\n")
     with pytest.raises(IntegrationError):
         external_solve(f, f"{sys.executable} {script} {{file}}", tmp_path)
+
+
+def test_external_feasible_model_reports_real_error_count(tmp_path, demo8):
+    formula, _ = encode_maxsat(demo8, 2)
+    model = maxsat_solve(formula, budget=30).model
+    error = -formula.soft[0][0][0]
+    model[error] = 1  # an unneeded error literal: the example is classified right
+    lits = " ".join(str(v if model[v] else -v) for v in sorted(model))
+    script = tmp_path / "sloppy.py"
+    script.write_text(f"print('s SATISFIABLE')\nprint('v {lits} 0')\n")
+    res = external_solve(formula, f"{sys.executable} {script} {{file}}", tmp_path)
+    assert res.status == FEASIBLE
+    assert res.cost == 0
+    assert res.model[error] == 0
 
 
 def test_external_exit_code_hints(tmp_path):
