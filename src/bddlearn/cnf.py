@@ -139,7 +139,14 @@ def clause_satisfied(clause: Iterable[int], assignment: Mapping[int, int]) -> bo
 
 def verify_model(formula: Formula, assignment: Mapping[int, int]) -> bool:
     """Check every hard clause against ``assignment`` (missing vars read 0)."""
-    return all(clause_satisfied(c, assignment) for c in formula.hard)
+    true = {v if value else -v for v, value in assignment.items()}
+    for clause in formula.hard:
+        for lit in clause:
+            if lit in true or (lit < 0 and -lit not in assignment):
+                break
+        else:
+            return False
+    return True
 
 
 def falsified_soft_weight(formula: Formula, assignment: Mapping[int, int]) -> int:

@@ -120,6 +120,27 @@ def dataset_from_bits(
     )
 
 
+def cell_counts(dataset: Dataset, ordering: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Per-cell ``(positives, negatives)`` of the examples routed by ``ordering``.
+
+    An example lands in the cell whose index its values of the ordered
+    features spell in binary, the first feature being the most significant
+    bit; there are ``2 ** len(ordering)`` cells.
+    """
+    n_cells = 1 << len(ordering)
+    pos = [0] * n_cells
+    neg = [0] * n_cells
+    for row, label in zip(dataset.features, dataset.labels):
+        idx = 0
+        for feature in ordering:
+            idx = (idx << 1) | row[feature]
+        if label:
+            pos[idx] += 1
+        else:
+            neg[idx] += 1
+    return tuple(zip(pos, neg))
+
+
 @dataclass(frozen=True)
 class Split:
     train: tuple[int, ...]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bdd import Bdd, BddError, TruthTable, gen_bdd
-from .data import Dataset
+from .data import Dataset, cell_counts
 
 
 @dataclass(frozen=True)
@@ -43,21 +43,11 @@ class ExtTable:
 def mark_unknown(table, ordering: Sequence[int], train: Dataset) -> ExtTable:
     """Route every training example to its cell and blank untouched cells."""
     cells = table.cells if isinstance(table, TruthTable) else str(table)
-    n = len(cells)
-    counts = [[0, 0] for _ in range(n)]
-    for row, label in zip(train.features, train.labels):
-        idx = 0
-        for feature in ordering:
-            idx = (idx << 1) | (1 if row[feature] else 0)
-        counts[idx][0 if label == 1 else 1] += 1
+    counts = cell_counts(train, ordering)
     marked = "".join(
         ch if pos + neg > 0 else "u" for ch, (pos, neg) in zip(cells, counts)
     )
-    return ExtTable(
-        cells=marked,
-        solver_cells=cells,
-        counts=tuple((pos, neg) for pos, neg in counts),
-    )
+    return ExtTable(cells=marked, solver_cells=cells, counts=counts)
 
 
 def apply_bias_S(ext: ExtTable) -> TruthTable:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import cnf, encode, postprocess, solve
 from .bdd import Bdd, TruthTable, classify, classify_table, gen_bdd, node_count
-from .data import DataError, Dataset, check_consistency, kfold
+from .data import DataError, Dataset, cell_counts, check_consistency, kfold
 
 MODE_SAT = "sat"
 MODE_MAXSAT = "maxsat"
@@ -144,6 +144,49 @@ def preselect_features(
     return tuple(sorted(used))
 
 
+@dataclass(frozen=True)
+class GreedySeed:
+    ordering: tuple[int, ...]
+    table: TruthTable
+    cost: int  # training errors of the table
+
+
+def _majority_error(counts) -> int:
+    return sum(min(pos, neg) for pos, neg in counts)
+
+
+def greedy_seed(dataset: Dataset, depth: int) -> GreedySeed:
+    """A cheap classifier of ``depth`` to start the MaxSAT descent from.
+
+    Positions are filled in order, each with the unused feature that
+    minimizes the majority-fill error of the ordering so far, ties going
+    to the lowest index.  Each cell takes its majority label (0 on a tie).
+    If the table's two halves are then identical, the table is not a bead
+    (its root split is vacuous), and the cell with the smallest
+    ``|pos - neg|`` is flipped.  Needs ``dataset.k >= depth``.
+    """
+    if not 1 <= depth <= dataset.k:
+        raise ValueError(f"depth must be in 1..{dataset.k}")
+    ordering: tuple[int, ...] = ()
+    for _ in range(depth):
+        candidates = (r for r in range(dataset.k) if r not in ordering)
+        best = min(
+            candidates,
+            key=lambda r: _majority_error(cell_counts(dataset, ordering + (r,))),
+        )
+        ordering += (best,)
+    counts = cell_counts(dataset, ordering)
+    cells = ["1" if pos > neg else "0" for pos, neg in counts]
+    cost = _majority_error(counts)
+    half = len(cells) // 2
+    if cells[:half] == cells[half:]:
+        margins = [abs(pos - neg) for pos, neg in counts]
+        j = margins.index(min(margins))
+        cells[j] = "0" if cells[j] == "1" else "1"
+        cost += margins[j]
+    return GreedySeed(ordering, TruthTable("".join(cells)), cost)
+
+
 def training_accuracy(dataset: Dataset, ordering, table) -> float:
     hits = sum(
         1
@@ -185,15 +228,13 @@ def _stats_dict(stats: solve.SatStats, extra: dict | None = None) -> dict:
     return doc
 
 
-def _solve_formula(formula, cfg: LearnConfig, mode: str):
+def _solve_formula(formula, cfg: LearnConfig, budget: float, phases=None):
     if cfg.solver_cmd:
         with tempfile.TemporaryDirectory(prefix="bddlearn-") as workdir:
-            return solve.external_solve(
-                formula, cfg.solver_cmd, workdir, budget=cfg.budget
-            )
-    if mode == MODE_SAT:
-        return solve.sat_solve(formula, budget=cfg.budget, seed=cfg.seed)
-    return solve.maxsat_solve(formula, budget=cfg.budget, seed=cfg.seed)
+            return solve.external_solve(formula, cfg.solver_cmd, workdir, budget=budget)
+    if cfg.mode == MODE_SAT:
+        return solve.sat_solve(formula, budget=budget, seed=cfg.seed)
+    return solve.maxsat_solve(formula, budget=budget, seed=cfg.seed, phases=phases)
 
 
 def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
@@ -227,7 +268,18 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
         formula, ctx = encode.encode_maxsat(work, cfg.depth)
     lits = cnf.literal_count(formula)
 
-    result = _solve_formula(formula, cfg, cfg.mode)
+    # the embedded MaxSAT descent starts from a greedy classifier, whose
+    # construction counts against the budget
+    budget, phases, greedy = cfg.budget, None, None
+    if cfg.mode == MODE_MAXSAT and not cfg.solver_cmd and work.k >= cfg.depth:
+        t0 = time.monotonic()
+        greedy = greedy_seed(work, cfg.depth)
+        phases = encode.model_phases(ctx, greedy.ordering, greedy.table)
+        budget -= time.monotonic() - t0
+        if budget <= 0:
+            raise SolverTimeoutError(f"no model within {cfg.budget}s")
+
+    result = _solve_formula(formula, cfg, budget, phases)
     if isinstance(result, solve.SatResult):
         if result.status == solve.TIMEOUT:
             raise SolverTimeoutError(f"no answer within {cfg.budget}s")
@@ -243,7 +295,11 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
             raise SolverTimeoutError(f"no model within {cfg.budget}s")
         model = result.model
         optimal = result.optimal
-        stats = _stats_dict(result.stats, {"cost": result.cost, "iterations": result.iterations})
+        stats = _stats_dict(result.stats, {
+            "cost": result.cost,
+            "iterations": result.iterations,
+            "seed_cost": greedy.cost if greedy else None,
+        })
 
     positions, table = encode.decode(model, ctx)
     ordering = tuple(feature_map[r] for r in positions)

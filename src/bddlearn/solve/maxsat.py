@@ -11,13 +11,17 @@ soft units made true wherever no clause breaks
 (:func:`bddlearn.cnf.soft_unit_repair`).  The bound after every model is
 the recomputed count of soft clauses the repaired model falsifies, which
 is tighter than the number of true relaxation literals whenever the
-solver set some of them gratuitously.
+solver set some of them gratuitously.  A caller that knows a good
+assignment passes it as ``phases``: the first SAT call tries those values
+first (solution-guided phasing), so its model, and with it the first
+bound, starts near the optimum and few bounded calls remain.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .. import cnf
 from .cdcl import SAT, TIMEOUT, UNSAT, CdclSolver, SatStats
@@ -50,12 +54,18 @@ def _merge_stats(total: SatStats, part: SatStats) -> None:
 
 
 def maxsat_solve(
-    formula: cnf.Formula, budget: float | None = 900.0, seed: int = 0
+    formula: cnf.Formula,
+    budget: float | None = 900.0,
+    seed: int = 0,
+    phases: Mapping[int, int] | None = None,
 ) -> MaxSatResult:
     """Minimize the falsified soft-clause weight of ``formula``.
 
     Only unit soft weights are supported.  Raises :class:`SolverError`
-    when the hard clauses alone are unsatisfiable.
+    when the hard clauses alone are unsatisfiable.  ``phases`` (variable
+    to value) are the polarities the first SAT call tries first, so a good
+    assignment there starts the descent near its end; the bounded calls
+    after it keep the solver's default polarities.
     """
     if any(w != 1 for _, w in formula.soft):
         raise ValueError("maxsat_solve supports unit soft weights only")
@@ -72,13 +82,15 @@ def maxsat_solve(
         stats.elapsed = time.monotonic() - start
         return MaxSatResult(status, model, cost, optimal, stats, iterations)
 
-    def run_sat(work: cnf.Formula) -> "object":
-        solver = CdclSolver(work.hard, work.var_count, seed=seed)
+    def run_sat(work: cnf.Formula, phases=None) -> "object":
+        solver = CdclSolver(work.hard, work.var_count, seed=seed, phases=phases)
         res = solver.solve(remaining())
         _merge_stats(stats, res.stats)
         if res.status == SAT:
             assert res.model is not None
-            if not cnf.verify_model(work, res.model):
+            # the input clauses only: the cardinality network is the solver's
+            # concern, and the descent's cost check guards the bound
+            if not cnf.verify_model(relaxed, res.model):
                 raise RuntimeError("internal error: model fails hard-clause check")
         return res
 
@@ -95,7 +107,7 @@ def maxsat_solve(
     relaxed.soft = []
     repair = cnf.soft_unit_repair(formula)
 
-    res = run_sat(relaxed)
+    res = run_sat(relaxed, phases)
     if res.status == TIMEOUT:
         return result(TIMEOUT_NO_SOLUTION, None, None, False, 1)
     if res.status == UNSAT:

@@ -209,3 +209,17 @@ def test_verify_model_and_soft_weight():
     assert not cnf.verify_model(f, {1: 0, 2: 0})
     assert cnf.falsified_soft_weight(f, {1: 1, 2: 0}) == 2
     assert cnf.falsified_soft_weight(f, {1: 0, 2: 1}) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_verify_model_matches_clause_evaluation(n, data):
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = data.draw(st.lists(st.lists(lit, min_size=1, max_size=4), max_size=8))
+    # a partial assignment: a missing variable reads 0
+    assignment = data.draw(st.dictionaries(st.integers(1, n), st.integers(0, 1)))
+    f = cnf.Formula(n)
+    for clause in clauses:
+        f.add_hard(clause)
+    expected = all(cnf.clause_satisfied(c, assignment) for c in clauses)
+    assert cnf.verify_model(f, assignment) == expected

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bddlearn.data import (
@@ -5,6 +7,7 @@ from bddlearn.data import (
     Dataset,
     RawTable,
     bind_like,
+    cell_counts,
     check_consistency,
     dataset_from_bits,
     kfold,
@@ -12,6 +15,7 @@ from bddlearn.data import (
     one_hot_binarize,
     split_holdout,
 )
+from oracles import random_dataset, route_counts
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -235,3 +239,16 @@ def test_subset_and_restrict(demo8):
     assert narrow.k == 2
     assert narrow.feature_names == ("f2", "f4")
     assert narrow.features[0] == (0, 0)
+
+
+def test_cell_counts_match_oracle_routing():
+    rng = random.Random(5)
+    for _ in range(20):
+        ds = random_dataset(rng, k=5, m=rng.randint(0, 30))
+        ordering = tuple(rng.sample(range(5), rng.randint(0, 3)))
+        pos, neg = route_counts(ds, ordering, 1 << len(ordering))
+        assert cell_counts(ds, ordering) == tuple(zip(pos, neg))
+
+
+def test_cell_counts_empty_ordering_is_one_cell(demo8):
+    assert cell_counts(demo8, ()) == ((3, 5),)

@@ -1,7 +1,11 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bddlearn import search
 from bddlearn.bdd import SINK_ONE, node_count
 from bddlearn.data import DataError, dataset_from_bits
 from bddlearn.search import (
@@ -11,11 +15,12 @@ from bddlearn.search import (
     SolverTimeoutError,
     cross_validate,
     evaluate,
+    greedy_seed,
     learn,
     min_depth,
     preselect_features,
 )
-from oracles import best_split_error, random_dataset
+from oracles import best_split_error, random_dataset, route_counts
 
 
 def parity_dataset():
@@ -139,6 +144,51 @@ def test_learn_timeout():
     ds = random_dataset(rng, k=16, m=60)
     with pytest.raises(SolverTimeoutError):
         learn(ds, LearnConfig(depth=4, mode="maxsat", budget=1e-4))
+
+
+def test_learn_counts_the_seed_inside_the_budget(monkeypatch):
+    ds = random_dataset(random.Random(3), k=6, m=20)
+    build = search.greedy_seed
+
+    def slow_seed(dataset, depth):
+        time.sleep(0.05)
+        return build(dataset, depth)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran with no budget left")
+
+    monkeypatch.setattr(search, "greedy_seed", slow_seed)
+    monkeypatch.setattr(search.solve, "maxsat_solve", no_solve)
+    with pytest.raises(SolverTimeoutError):
+        learn(ds, LearnConfig(depth=2, mode="maxsat", budget=0.04))
+
+
+def test_learn_reports_the_seed_cost():
+    rng = random.Random(29)
+    for _ in range(4):
+        ds = random_dataset(rng, k=5, m=20)
+        model = learn(ds, LearnConfig(depth=2, mode="maxsat", budget=120))
+        assert model.solver_stats["seed_cost"] == greedy_seed(ds, 2).cost
+        assert model.solver_stats["seed_cost"] >= model.solver_stats["cost"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 24), st.data())
+def test_greedy_seed_is_a_bead_with_its_reported_cost(depth, k, m, data):
+    k = max(k, depth)
+    bit = st.integers(0, 1)
+    rows = data.draw(st.lists(st.tuples(*[bit] * k), min_size=m, max_size=m))
+    labels = data.draw(st.lists(bit, min_size=m, max_size=m))
+    ds = dataset_from_bits(rows, labels)
+    seed = greedy_seed(ds, depth)
+    assert len(set(seed.ordering)) == depth
+    cells = seed.table.cells
+    half = len(cells) // 2
+    assert cells[:half] != cells[half:]
+    pos, neg = route_counts(ds, seed.ordering, len(cells))
+    errors = sum(n if ch == "1" else p for ch, p, n in zip(cells, pos, neg))
+    assert errors == seed.cost
+    assert seed.cost >= best_split_error(ds, depth)
 
 
 def test_learn_biases_only_touch_untrafficked_cells(demo8):

@@ -19,7 +19,7 @@ from bddlearn.solve import (
     maxsat_solve,
     sat_solve,
 )
-from oracles import enumerate_sat, random_formula
+from oracles import enumerate_sat, random_dataset, random_formula
 
 
 def _formula(clauses, n):
@@ -163,6 +163,51 @@ def test_maxsat_cost_matches_model_recount():
             )
         )
         assert res.cost == best
+
+
+def test_full_model_phases_come_back_unchanged():
+    rng = random.Random(41)
+    checked = 0
+    while checked < 15:
+        clauses, n = random_formula(rng, max_vars=10, max_clauses=30)
+        models = [
+            {v: (a >> (v - 1)) & 1 for v in range(1, n + 1)}
+            for a in range(1 << n)
+            if all(
+                cnf.clause_satisfied(c, {v: (a >> (v - 1)) & 1 for v in range(1, n + 1)})
+                for c in clauses
+            )
+        ]
+        if len(models) < 2:
+            continue
+        default = CdclSolver(clauses, n).solve().model
+        # the model farthest from the unguided answer
+        target = max(models, key=lambda m: sum(m[v] != default[v] for v in m))
+        res = CdclSolver(clauses, n, phases=target).solve()
+        assert res.status == SAT
+        assert res.model == target
+        assert res.stats.conflicts == 0
+        checked += 1
+
+
+def test_phases_outside_the_variable_range_are_rejected():
+    with pytest.raises(ValueError):
+        CdclSolver([[1, 2]], 2, phases={3: 1})
+    with pytest.raises(ValueError):
+        CdclSolver([[1, 2]], 2, phases={0: 1})
+
+
+def test_maxsat_optimum_as_phases_needs_one_bounded_call():
+    rng = random.Random(13)
+    for _ in range(3):
+        formula, _ctx = encode_maxsat(random_dataset(rng, k=4, m=12), 2)
+        plain = maxsat_solve(formula, budget=60)
+        assert plain.status == OPTIMUM and plain.cost > 0
+        seeded = maxsat_solve(formula, budget=60, phases=plain.model)
+        assert seeded.status == OPTIMUM
+        assert seeded.iterations == 2  # the optimum, then the UNSAT proof
+        assert seeded.cost == plain.cost
+        assert seeded.model == plain.model
 
 
 def test_maxsat_rejects_general_weights():
