@@ -270,6 +270,26 @@ def encode_maxsat(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingCo
     return formula, ctx
 
 
+def ordered_tail(ctx: EncodingContext) -> list[list[int]]:
+    """Clauses that sort the features below the root in increasing order.
+
+    ``-a[r][i] | -a[r'][i+1]`` for every ``r' <= r`` and every pair of
+    adjacent positions ``i, i+1`` from the second position on:
+    ``(depth - 2) * k * (k + 1) / 2`` binary clauses, none for depth <= 2.
+    Permuting the positions below the root, and the table cells with
+    them, keeps every prediction, the root and the bead property, so any
+    ordering and table can be tail-sorted at the same cost.  Added to a
+    formula, the clauses keep one ordering per feature set and root.
+    """
+    k = ctx.n_features
+    return [
+        [-ctx.a[r][i], -ctx.a[s][i + 1]]
+        for i in range(1, ctx.depth - 1)
+        for r in range(k)
+        for s in range(r + 1)
+    ]
+
+
 def model_phases(
     ctx: EncodingContext, ordering: tuple[int, ...], table: TruthTable
 ) -> dict[int, int]:

@@ -228,13 +228,15 @@ def _stats_dict(stats: solve.SatStats, extra: dict | None = None) -> dict:
     return doc
 
 
-def _solve_formula(formula, cfg: LearnConfig, budget: float, phases=None):
+def _solve_formula(formula, cfg: LearnConfig, budget: float, phases=None, bounded=()):
     if cfg.solver_cmd:
         with tempfile.TemporaryDirectory(prefix="bddlearn-") as workdir:
             return solve.external_solve(formula, cfg.solver_cmd, workdir, budget=budget)
     if cfg.mode == MODE_SAT:
         return solve.sat_solve(formula, budget=budget, seed=cfg.seed)
-    return solve.maxsat_solve(formula, budget=budget, seed=cfg.seed, phases=phases)
+    return solve.maxsat_solve(
+        formula, budget=budget, seed=cfg.seed, phases=phases, bounded_clauses=bounded
+    )
 
 
 def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
@@ -243,7 +245,8 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     SAT mode refuses inconsistent datasets up front (no depth can fix a
     feature-vector conflict) and reports UNSAT as "depth insufficient".
     A single-class dataset short-circuits to a sink-only diagram without
-    touching a solver.
+    touching a solver.  When the embedded MaxSAT solver finds no model
+    within the budget, the greedy seed comes back as a non-optimal model.
     """
     if dataset.m == 0:
         raise DataError("empty training set")
@@ -269,8 +272,9 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     lits = cnf.literal_count(formula)
 
     # the embedded MaxSAT descent starts from a greedy classifier, whose
-    # construction counts against the budget
-    budget, phases, greedy = cfg.budget, None, None
+    # construction counts against the budget, and its bounded calls look
+    # at tail-sorted orderings only
+    budget, phases, greedy, bounded = cfg.budget, None, None, []
     if cfg.mode == MODE_MAXSAT and not cfg.solver_cmd and work.k >= cfg.depth:
         t0 = time.monotonic()
         greedy = greedy_seed(work, cfg.depth)
@@ -278,8 +282,9 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
         budget -= time.monotonic() - t0
         if budget <= 0:
             raise SolverTimeoutError(f"no model within {cfg.budget}s")
+        bounded = encode.ordered_tail(ctx)
 
-    result = _solve_formula(formula, cfg, budget, phases)
+    result = _solve_formula(formula, cfg, budget, phases, bounded)
     if isinstance(result, solve.SatResult):
         if result.status == solve.TIMEOUT:
             raise SolverTimeoutError(f"no answer within {cfg.budget}s")
@@ -291,12 +296,14 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
         optimal = True
         stats = _stats_dict(result.stats)
     else:
+        model, cost = result.model, result.cost
         if result.status == solve.TIMEOUT_NO_SOLUTION:
-            raise SolverTimeoutError(f"no model within {cfg.budget}s")
-        model = result.model
+            if greedy is None:
+                raise SolverTimeoutError(f"no model within {cfg.budget}s")
+            model, cost = phases, greedy.cost  # the seed is the anytime model
         optimal = result.optimal
         stats = _stats_dict(result.stats, {
-            "cost": result.cost,
+            "cost": cost,
             "iterations": result.iterations,
             "seed_cost": greedy.cost if greedy else None,
         })

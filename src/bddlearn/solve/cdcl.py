@@ -4,6 +4,13 @@ Two-watched-literal propagation, first-UIP conflict learning, VSIDS
 decisions with phase saving, Luby restarts, and activity-based deletion
 of learned clauses.  Every model is re-checked against the input clauses
 by the independent evaluator in :mod:`bddlearn.cnf` before it is returned.
+
+Literal-indexed state lives in flat lists of length ``2n + 1`` indexed by
+the signed literal itself: Python's negative indexing puts ``-v`` at
+``2n + 1 - v``, so ``val[lit]`` is the literal's value (1, 0, or -1 when
+unassigned) and ``watches[lit]`` its watch list, with no index arithmetic
+on the hot path.  Variable-indexed state (level, reason, activity, saved
+phase) stays indexed by ``v``.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from operator import neg
 from random import Random
 from typing import Mapping
 
@@ -57,7 +65,11 @@ def _luby(i: int) -> int:
 
 
 class CdclSolver:
-    """One solver instance owns its formula; not thread-safe."""
+    """One solver instance owns its formula; not thread-safe.
+
+    Every clause kept is a fresh list, so the caller's clauses are never
+    mutated and may be shared between solvers.
+    """
 
     def __init__(
         self,
@@ -69,7 +81,7 @@ class CdclSolver:
     ):
         self.n = var_count
         n1 = var_count + 1
-        self.assign = [-1] * n1  # -1 unassigned, else 0/1
+        self.val = [-1] * (2 * var_count + 1)  # by signed literal
         self.level = [0] * n1
         self.reason = [-1] * n1
         self.saved = [0] * n1  # phase saving, default polarity 0
@@ -84,7 +96,7 @@ class CdclSolver:
         self.qhead = 0
         self.clauses: list[list[int]] = []
         self.cla_act: list[float] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * n1)]
+        self.watches: list[list[int]] = [[] for _ in range(2 * var_count + 1)]
         self.act = [0.0] * n1
         self.var_inc = 1.0
         self.cla_inc = 1.0
@@ -96,27 +108,43 @@ class CdclSolver:
         self.max_learnts = max_learnts
         self._units: list[int] = []
 
-        rng = Random(seed)
-        for clause in clauses:
-            lits = self._sanitize(clause)
-            if lits is None:  # tautology
-                continue
-            if not lits:
-                self.ok = False
-                return
-            if len(lits) == 1:
-                self._units.append(lits[0])
-                continue
-            self._add_clause(lits)
-        self.n_problem = len(self.clauses)
         # Occurrence counts guide the first decisions; the seeded jitter
         # keeps distinct seeds on distinct (but reproducible) trajectories.
-        for clause in self.clauses:
-            for lit in clause:
-                self.act[abs(lit)] += 1e-5
+        kept = self.clauses
+        watches = self.watches
+        act = self.act
+        for clause in clauses:
+            if len(clause) == 2:  # most clauses: no set needed
+                x, y = clause
+                if x == -y:
+                    continue
+                lits = [x, y] if x != y else [x]
+            else:
+                present = set(clause)
+                if len(present) == len(clause) and present.isdisjoint(map(neg, clause)):
+                    lits = list(clause)
+                else:
+                    lits = self._sanitize(clause)
+                    if lits is None:  # tautology
+                        continue
+            if len(lits) > 1:
+                watches[lits[0]].append(len(kept))
+                watches[lits[1]].append(len(kept))
+                kept.append(lits)
+                for lit in lits:
+                    act[lit if lit > 0 else -lit] += 1e-5
+            elif lits:
+                self._units.append(lits[0])
+            else:
+                self.ok = False
+                return
+        self.n_problem = len(kept)
+        self.cla_act = [0.0] * len(kept)
+        rng = Random(seed)
         for v in range(1, n1):
-            self.act[v] += rng.random() * 1e-7
-            heappush(self.heap, (-self.act[v], v))
+            act[v] += rng.random() * 1e-7
+        self.heap = [(-act[v], v) for v in range(1, n1)]
+        heapify(self.heap)
 
     @staticmethod
     def _sanitize(clause: list[int]) -> list[int] | None:
@@ -134,100 +162,92 @@ class CdclSolver:
         ci = len(self.clauses)
         self.clauses.append(lits)
         self.cla_act.append(0.0)
-        self._watch(lits[0], ci)
-        self._watch(lits[1], ci)
+        self.watches[lits[0]].append(ci)
+        self.watches[lits[1]].append(ci)
         return ci
 
-    def _watch(self, lit: int, ci: int) -> None:
-        idx = (lit << 1) if lit > 0 else ((-lit) << 1) | 1
-        self.watches[idx].append(ci)
-
-    def _value(self, lit: int) -> int:
-        a = self.assign[lit if lit > 0 else -lit]
-        if a < 0:
-            return -1
-        return a if lit > 0 else 1 - a
-
     def _enqueue(self, lit: int, reason_ci: int) -> None:
+        val = self.val
+        val[lit] = 1
+        val[-lit] = 0
         v = lit if lit > 0 else -lit
-        self.assign[v] = 1 if lit > 0 else 0
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason_ci
         self.trail.append(lit)
 
     def _propagate(self) -> int:
         """Unit propagation; returns a conflicting clause index or -1."""
-        assign = self.assign
+        val = self.val
         clauses = self.clauses
         watches = self.watches
         trail = self.trail
+        level = self.level
+        reason = self.reason
+        cur_level = len(self.trail_lim)
+        qhead = self.qhead
         props = 0
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
-            false_lit = -p
-            widx = (false_lit << 1) if false_lit > 0 else ((-false_lit) << 1) | 1
-            wl = watches[widx]
-            i = j = 0
-            end = len(wl)
-            while i < end:
-                ci = wl[i]
-                i += 1
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            wl = watches[false_lit]
+            if not wl:
+                continue
+            pending = iter(wl)
+            kept: list[int] = []
+            watches[false_lit] = kept
+            keep = kept.append
+            for ci in pending:
                 clause = clauses[ci]
-                if clause[0] == false_lit:
-                    clause[0] = clause[1]
-                    clause[1] = false_lit
                 first = clause[0]
-                a = assign[first if first > 0 else -first]
-                val_first = -1 if a < 0 else (a if first > 0 else 1 - a)
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                val_first = val[first]
                 if val_first == 1:
-                    wl[j] = ci
-                    j += 1
+                    keep(ci)
                     continue
-                moved = False
-                for k in range(2, len(clause)):
-                    lk = clause[k]
-                    a = assign[lk if lk > 0 else -lk]
-                    if a < 0 or (a if lk > 0 else 1 - a) == 1:
-                        clause[1] = lk
-                        clause[k] = false_lit
-                        self._watch(lk, ci)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                wl[j] = ci
-                j += 1
+                if len(clause) > 2:  # look for a new watch
+                    for k in range(2, len(clause)):
+                        lk = clause[k]
+                        if val[lk]:  # true (1) or unassigned (-1)
+                            clause[1] = lk
+                            clause[k] = false_lit
+                            watches[lk].append(ci)
+                            break
+                    else:
+                        k = 0  # no new watch: the clause is unit or false
+                    if k:
+                        continue
+                keep(ci)
                 if val_first == 0:
-                    while i < end:  # conflict: keep the pending watchers
-                        wl[j] = wl[i]
-                        j += 1
-                        i += 1
-                    del wl[j:]
+                    kept.extend(pending)  # conflict: keep the pending watchers
+                    self.qhead = qhead
                     self.stats.propagations += props
                     return ci
-                self._enqueue(first, ci)
+                val[first] = 1
+                val[-first] = 0
+                v = first if first > 0 else -first
+                level[v] = cur_level
+                reason[v] = ci
+                trail.append(first)
                 props += 1
-            del wl[j:]
+        self.qhead = qhead
         self.stats.propagations += props
         return -1
 
-    def _bump_var(self, v: int) -> None:
-        self.act[v] += self.var_inc
-        if self.act[v] > _ACT_RESCALE:
-            inv = 1.0 / _ACT_RESCALE
-            for u in range(1, self.n + 1):
-                self.act[u] *= inv
-            self.var_inc *= inv
-            self.heap = [
-                (-self.act[u], u) for u in range(1, self.n + 1) if self.assign[u] < 0
-            ]
-            heapify(self.heap)
-        heappush(self.heap, (-self.act[v], v))
+    def _rescale_vars(self) -> None:
+        inv = 1.0 / _ACT_RESCALE
+        act = self.act
+        for u in range(1, self.n + 1):
+            act[u] *= inv
+        self.var_inc *= inv
+        val = self.val
+        self.heap = [(-act[u], u) for u in range(1, self.n + 1) if val[u] < 0]
+        heapify(self.heap)
 
     def _bump_clause(self, ci: int) -> None:
-        if ci < self.n_problem:
-            return
+        """Bump learned clause ``ci`` (problem clauses carry no activity)."""
         self.cla_act[ci] += self.cla_inc
         if self.cla_act[ci] > _ACT_RESCALE:
             inv = 1.0 / _ACT_RESCALE
@@ -240,6 +260,12 @@ class CdclSolver:
         seen = self.seen
         level = self.level
         trail = self.trail
+        clauses = self.clauses
+        reason = self.reason
+        act = self.act
+        heap = self.heap
+        var_inc = self.var_inc
+        n_problem = self.n_problem
         learnt: list[int] = [0]
         touched: list[int] = []
         cur_level = len(self.trail_lim)
@@ -248,34 +274,44 @@ class CdclSolver:
         idx = len(trail) - 1
         ci = confl_ci
         while True:
-            clause = self.clauses[ci]
-            self._bump_clause(ci)
-            for k in range(1 if p else 0, len(clause)):
-                q = clause[k]
-                v = abs(q)
+            clause = clauses[ci]
+            if ci >= n_problem:
+                self._bump_clause(ci)
+            for q in clause[1:] if p else clause:
+                v = q if q > 0 else -q
                 if not seen[v] and level[v] > 0:
                     seen[v] = 1
                     touched.append(v)
-                    self._bump_var(v)
+                    a = act[v] + var_inc
+                    act[v] = a
+                    if a > _ACT_RESCALE:
+                        self._rescale_vars()
+                        heap = self.heap
+                        var_inc = self.var_inc
+                        a = act[v]
+                    heappush(heap, (-a, v))
                     if level[v] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(trail[idx])]:
-                idx -= 1
             p = trail[idx]
+            while not seen[p if p > 0 else -p]:
+                idx -= 1
+                p = trail[idx]
             idx -= 1
-            v = abs(p)
+            v = p if p > 0 else -p
             seen[v] = 0
             counter -= 1
             if counter == 0:
                 break
-            ci = self.reason[v]
+            ci = reason[v]
         learnt[0] = -p
         for q in learnt:  # keep the clause vars marked for minimization
-            seen[abs(q)] = 1
+            seen[q if q > 0 else -q] = 1
         kept = [learnt[0]]
-        kept.extend(q for q in learnt[1:] if not self._redundant(q, touched))
+        for q in learnt[1:]:  # a decision literal always stays
+            if reason[q if q > 0 else -q] < 0 or not self._redundant(q, touched):
+                kept.append(q)
         learnt = kept
         for v in touched:
             seen[v] = 0
@@ -295,18 +331,18 @@ class CdclSolver:
         seen = self.seen
         level = self.level
         reason = self.reason
+        clauses = self.clauses
         stack = [lit]
         marked: list[int] = []
         while stack:
             p = stack.pop()
-            ci = reason[abs(p)]
+            ci = reason[p if p > 0 else -p]
             if ci < 0:
                 for v in marked:
                     seen[v] = 0
                 return False
-            clause = self.clauses[ci]
-            for r in clause[1:]:
-                w = abs(r)
+            for r in clauses[ci][1:]:
+                w = r if r > 0 else -r
                 if not seen[w] and level[w] > 0:
                     if reason[w] < 0:
                         for v in marked:
@@ -322,27 +358,32 @@ class CdclSolver:
         if len(self.trail_lim) <= lvl:
             return
         limit = self.trail_lim[lvl]
-        assign = self.assign
-        for i in range(len(self.trail) - 1, limit - 1, -1):
-            lit = self.trail[i]
+        val = self.val
+        saved = self.saved
+        reason = self.reason
+        act = self.act
+        heap = self.heap
+        trail = self.trail
+        for lit in reversed(trail[limit:]):
             v = lit if lit > 0 else -lit
-            self.saved[v] = assign[v]
-            assign[v] = -1
-            self.reason[v] = -1
-            heappush(self.heap, (-self.act[v], v))
-        del self.trail[limit:]
+            saved[v] = val[v]
+            val[v] = val[-v] = -1
+            reason[v] = -1
+            heappush(heap, (-act[v], v))
+        del trail[limit:]
         del self.trail_lim[lvl:]
         self.qhead = limit
 
     def _pick_branch(self) -> int | None:
         heap = self.heap
-        assign = self.assign
+        val = self.val
+        act = self.act
         while heap:
             neg_act, v = heappop(heap)
-            if assign[v] < 0 and -neg_act == self.act[v]:
+            if val[v] < 0 and -neg_act == act[v]:
                 return v
         for v in range(1, self.n + 1):  # heap went stale; shouldn't happen often
-            if assign[v] < 0:
+            if val[v] < 0:
                 return v
         return None
 
@@ -371,11 +412,11 @@ class CdclSolver:
             new_act.append(self.cla_act[ci])
         self.clauses = new_clauses
         self.cla_act = new_act
-        self.watches = [[] for _ in range(2 * (self.n + 1))]
+        self.watches = watches = [[] for _ in range(2 * self.n + 1)]
         for ci, clause in enumerate(self.clauses):
-            self._watch(clause[0], ci)
-            self._watch(clause[1], ci)
-        for i, lit in enumerate(self.trail):
+            watches[clause[0]].append(ci)
+            watches[clause[1]].append(ci)
+        for lit in self.trail:
             v = abs(lit)
             old = self.reason[v]
             self.reason[v] = remap.get(old, -1) if old >= 0 else -1
@@ -390,11 +431,11 @@ class CdclSolver:
 
         if not self.ok:
             return finish(UNSAT, None)
+        val = self.val
         for lit in self._units:
-            val = self._value(lit)
-            if val == 0:
+            if val[lit] == 0:
                 return finish(UNSAT, None)
-            if val == -1:
+            if val[lit] == -1:
                 self._enqueue(lit, -1)
         if self._propagate() >= 0:
             return finish(UNSAT, None)
@@ -405,11 +446,13 @@ class CdclSolver:
         if learnt_cap is None:
             learnt_cap = max(4000, 2 * max(1, self.n_problem))
         check_counter = 0
+        stats = self.stats
+        saved = self.saved
 
         while True:
             confl = self._propagate()
             if confl >= 0:
-                self.stats.conflicts += 1
+                stats.conflicts += 1
                 conflicts_until_restart -= 1
                 if not self.trail_lim:
                     return finish(UNSAT, None)
@@ -429,7 +472,7 @@ class CdclSolver:
                         return finish(TIMEOUT, None)
             else:
                 if conflicts_until_restart <= 0:
-                    self.stats.restarts += 1
+                    stats.restarts += 1
                     restart_idx += 1
                     conflicts_until_restart = _RESTART_BASE * _luby(restart_idx)
                     self._cancel_until(0)
@@ -440,11 +483,11 @@ class CdclSolver:
                     return finish(TIMEOUT, None)
                 v = self._pick_branch()
                 if v is None:
-                    model = {u: self.assign[u] for u in range(1, self.n + 1)}
+                    model = {u: val[u] for u in range(1, self.n + 1)}
                     return finish(SAT, model)
-                self.stats.decisions += 1
+                stats.decisions += 1
                 self.trail_lim.append(len(self.trail))
-                self._enqueue(v if self.saved[v] else -v, -1)
+                self._enqueue(v if saved[v] else -v, -1)
 
 
 def sat_solve(

@@ -14,14 +14,20 @@ is tighter than the number of true relaxation literals whenever the
 solver set some of them gratuitously.  A caller that knows a good
 assignment passes it as ``phases``: the first SAT call tries those values
 first (solution-guided phasing), so its model, and with it the first
-bound, starts near the optimum and few bounded calls remain.
+bound, starts near the optimum and few bounded calls remain.  A caller
+that knows a symmetry of its problem passes ``bounded_clauses``: hard
+clauses that every bounded call gets and the first call does not.  They
+must keep some model of each cost, as the lex-leader clauses of
+:func:`bddlearn.encode.ordered_tail` do.  The UNSAT proof at the end then
+refutes one representative per symmetry class.  A bounded call whose
+cardinality network is finished only after the deadline gets no solver.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .. import cnf
 from .cdcl import SAT, TIMEOUT, UNSAT, CdclSolver, SatStats
@@ -58,6 +64,7 @@ def maxsat_solve(
     budget: float | None = 900.0,
     seed: int = 0,
     phases: Mapping[int, int] | None = None,
+    bounded_clauses: Sequence[list[int]] = (),
 ) -> MaxSatResult:
     """Minimize the falsified soft-clause weight of ``formula``.
 
@@ -65,7 +72,10 @@ def maxsat_solve(
     when the hard clauses alone are unsatisfiable.  ``phases`` (variable
     to value) are the polarities the first SAT call tries first, so a good
     assignment there starts the descent near its end; the bounded calls
-    after it keep the solver's default polarities.
+    after it keep the solver's default polarities.  ``bounded_clauses``
+    are hard clauses added to every bounded call but not to the first;
+    whenever some model costs at most ``b``, one of the same cost must
+    satisfy them.
     """
     if any(w != 1 for _, w in formula.soft):
         raise ValueError("maxsat_solve supports unit soft weights only")
@@ -77,6 +87,9 @@ def maxsat_solve(
         if deadline is None:
             return None
         return deadline - time.monotonic()
+
+    def expired() -> bool:
+        return deadline is not None and time.monotonic() > deadline
 
     def result(status: str, model, cost, optimal, iterations) -> MaxSatResult:
         stats.elapsed = time.monotonic() - start
@@ -94,17 +107,19 @@ def maxsat_solve(
                 raise RuntimeError("internal error: model fails hard-clause check")
         return res
 
+    # the solver copies every clause it keeps, so the formulas below share
+    # clause lists with ``formula`` instead of copying them
     orig_vars = formula.var_count
-    relaxed = formula.copy()
+    relaxed = cnf.Formula(orig_vars)
+    relaxed.hard = list(formula.hard)
     relax: list[int] = []
-    for clause, _weight in relaxed.soft:
+    for clause, _weight in formula.soft:
         if len(clause) == 1:
             relax.append(-clause[0])
             continue
         b = relaxed.fresh_var()
         relaxed.add_hard(clause + [b])
         relax.append(b)
-    relaxed.soft = []
     repair = cnf.soft_unit_repair(formula)
 
     res = run_sat(relaxed, phases)
@@ -121,12 +136,15 @@ def maxsat_solve(
     best_cost = cnf.falsified_soft_weight(formula, best_model)
     iterations = 1
     while best_cost > 0:
-        if deadline is not None and time.monotonic() > deadline:
+        if expired():
             return result(FEASIBLE, best_model, best_cost, False, iterations)
         # the relaxed base plus the current bound; stale looser bounds are
         # dropped, so iterations shrink as the bound tightens
-        working = relaxed.copy()
+        working = cnf.Formula(relaxed.var_count)
+        working.hard = relaxed.hard + list(bounded_clauses)
         cnf.at_most_k(working, relax, best_cost - 1)
+        if expired():  # the counter takes long to build at a large bound
+            return result(FEASIBLE, best_model, best_cost, False, iterations)
         res = run_sat(working)
         iterations += 1
         if res.status == TIMEOUT:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bddlearn import cnf
 from bddlearn.bdd import TruthTable, classify_table, is_bead
@@ -12,6 +14,7 @@ from bddlearn.encode import (
     encode_bdd2,
     encode_maxsat,
     model_phases,
+    ordered_tail,
     read_context,
     rel,
     write_context,
@@ -237,6 +240,60 @@ def test_model_phases_round_trip_through_decode():
         assert decode(phases, ctx) == (ordering, table)
     with pytest.raises(ValueError):
         model_phases(ctx, ordering[:-1], table)
+
+
+def test_ordered_tail_size_and_shape():
+    ds = random_dataset(random.Random(2), k=5, m=10)
+    for depth in (1, 2):
+        assert ordered_tail(encode_maxsat(ds, depth)[1]) == []
+    for depth in (3, 4):
+        _, ctx = encode_maxsat(ds, depth)
+        clauses = ordered_tail(ctx)
+        assert len(clauses) == (depth - 2) * 5 * 6 // 2
+        # the root position is never constrained
+        root = {ctx.a[r][0] for r in range(5)}
+        assert all(len(c) == 2 and not root & {-x for x in c} for c in clauses)
+
+
+def _sorted_tail_ok(ordering) -> bool:
+    return all(x < y for x, y in zip(ordering[1:], ordering[2:]))
+
+
+def test_ordered_tail_admits_exactly_the_sorted_tails():
+    ds = random_dataset(random.Random(4), k=4, m=6)
+    _, ctx = encode_maxsat(ds, 3)
+    clauses = ordered_tail(ctx)
+    for first in range(4):
+        for second in range(4):
+            for third in range(4):
+                ordering = (first, second, third)
+                if len(set(ordering)) < 3:
+                    continue
+                model = {
+                    ctx.a[r][i]: int(ordering[i] == r)
+                    for r in range(4)
+                    for i in range(3)
+                }
+                ok = all(cnf.clause_satisfied(c, model) for c in clauses)
+                assert ok == _sorted_tail_ok(ordering)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(3, 6), st.integers(1, 24), st.data())
+def test_tail_order_keeps_the_optimum(depth, k, m, data):
+    # hard on the whole formula, first call included: still the optimum
+    k = max(k, depth)
+    bit = st.integers(0, 1)
+    rows = data.draw(st.lists(st.tuples(*[bit] * k), min_size=m, max_size=m))
+    labels = data.draw(st.lists(bit, min_size=m, max_size=m))
+    ds = dataset_from_bits(rows, labels)
+    formula, ctx = encode_maxsat(ds, depth)
+    for clause in ordered_tail(ctx):
+        formula.add_hard(clause)
+    res = maxsat_solve(formula, budget=120)
+    assert res.status == "OPTIMUM"
+    assert res.cost == best_split_error(ds, depth)
+    assert _sorted_tail_ok(decode(res.model, ctx)[0])
 
 
 def test_decode_reference_model(demo8):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bddlearn import search
+from bddlearn import search, solve
 from bddlearn.bdd import SINK_ONE, node_count
 from bddlearn.data import DataError, dataset_from_bits
 from bddlearn.search import (
@@ -161,6 +161,46 @@ def test_learn_counts_the_seed_inside_the_budget(monkeypatch):
     monkeypatch.setattr(search.solve, "maxsat_solve", no_solve)
     with pytest.raises(SolverTimeoutError):
         learn(ds, LearnConfig(depth=2, mode="maxsat", budget=0.04))
+
+
+def test_learn_returns_the_seed_when_the_first_call_times_out(monkeypatch):
+    ds = random_dataset(random.Random(23), k=6, m=30)
+
+    def first_call_times_out(formula, budget, **kwargs):
+        return solve.MaxSatResult(solve.TIMEOUT_NO_SOLUTION, None, None, False)
+
+    monkeypatch.setattr(search.solve, "maxsat_solve", first_call_times_out)
+    model = learn(ds, LearnConfig(depth=3, mode="maxsat", bias="S", budget=60))
+    seed = greedy_seed(ds, 3)
+    assert not model.optimal
+    assert model.ordering == seed.ordering
+    assert model.solver_stats["cost"] == seed.cost == model.solver_stats["seed_cost"]
+    assert round((1 - model.train_accuracy) * ds.m) == seed.cost
+
+
+def test_learn_short_budget_on_a_large_dataset_is_feasible():
+    ds = random_dataset(random.Random(1), k=40, m=500)
+    model = learn(ds, LearnConfig(depth=3, mode="maxsat", budget=0.3))
+    assert not model.optimal
+    cost = model.solver_stats["cost"]
+    assert cost <= model.solver_stats["seed_cost"]
+    assert round((1 - model.train_accuracy) * ds.m) == cost
+
+
+def test_learn_sorts_the_tail_of_descended_optima():
+    rng = random.Random(31)
+    descended = 0
+    for i in range(24):
+        depth = 3 + i % 2
+        ds = random_dataset(rng, k=rng.randint(depth, 6), m=rng.randint(10, 24))
+        model = learn(ds, LearnConfig(depth=depth, mode="maxsat", budget=120))
+        assert model.optimal
+        assert model.solver_stats["cost"] == best_split_error(ds, depth)
+        if model.solver_stats["iterations"] > 2:  # a bounded call was SAT
+            descended += 1
+            tail = model.ordering[1:]
+            assert all(x < y for x, y in zip(tail, tail[1:]))
+    assert descended >= 3
 
 
 def test_learn_reports_the_seed_cost():

@@ -1,10 +1,12 @@
 import random
 import sys
+import time
 
 import pytest
 
 from bddlearn import cnf
-from bddlearn.encode import encode_maxsat
+from bddlearn.encode import decode, encode_maxsat, ordered_tail
+from bddlearn.solve import maxsat
 from bddlearn.solve import (
     FEASIBLE,
     OPTIMUM,
@@ -99,6 +101,26 @@ def _pigeonhole(holes: int):
             for p2 in range(p1 + 1, holes + 1):
                 f.add_hard([-var(p1, h), -var(p2, h)])
     return f
+
+
+def test_search_trajectory_is_pinned():
+    # counts of the solver before its literal-indexed rewrite: the rewrite
+    # made each step cheaper and must not change a single step
+    f = _pigeonhole(6)  # learned-clause deletion at max_learnts=20
+    st = CdclSolver(f.hard, f.var_count, seed=1, max_learnts=20).solve(60).stats
+    assert (st.conflicts, st.decisions, st.propagations, st.learned_deleted) == (
+        1132, 1358, 16857, 828
+    )
+    f = _pigeonhole(7)  # over 4.5 k conflicts: the activity rescale runs
+    st = CdclSolver(f.hard, f.var_count, seed=0).solve(60).stats
+    assert (st.conflicts, st.decisions, st.propagations, st.restarts) == (
+        5287, 6240, 86875, 21
+    )
+    formula, _ = encode_maxsat(random_dataset(random.Random(7), k=6, m=24), 3)
+    res = maxsat_solve(formula, budget=60)
+    st = res.stats
+    assert (res.cost, res.iterations) == (5, 11)
+    assert (st.conflicts, st.decisions, st.propagations) == (1403, 2324, 123539)
 
 
 def test_budget_exhaustion_times_out():
@@ -208,6 +230,46 @@ def test_maxsat_optimum_as_phases_needs_one_bounded_call():
         assert seeded.iterations == 2  # the optimum, then the UNSAT proof
         assert seeded.cost == plain.cost
         assert seeded.model == plain.model
+
+
+def test_bounded_clauses_keep_a_first_call_optimum_unchanged():
+    # the first call does not get the tail order, so an optimum with an
+    # unsorted tail comes back as the first call found it
+    rng = random.Random(17)
+    unsorted = 0
+    for _ in range(3):
+        formula, ctx = encode_maxsat(random_dataset(rng, k=5, m=16), 3)
+        plain = maxsat_solve(formula, budget=60)
+        seeded = maxsat_solve(
+            formula, budget=60, phases=plain.model, bounded_clauses=ordered_tail(ctx)
+        )
+        assert seeded.status == OPTIMUM
+        assert seeded.iterations == 2
+        assert seeded.model == plain.model
+        tail = decode(plain.model, ctx)[0][1:]
+        unsorted += tail != tuple(sorted(tail))
+    assert unsorted >= 1
+
+
+def test_no_solver_is_built_after_the_deadline(monkeypatch):
+    formula, _ = encode_maxsat(random_dataset(random.Random(5), k=5, m=20), 2)
+    build, solver_cls = cnf.at_most_k, maxsat.CdclSolver
+    built = []
+
+    def slow_at_most_k(*args):
+        build(*args)
+        time.sleep(0.5)
+
+    def counting_solver(*args, **kwargs):
+        built.append(1)
+        return solver_cls(*args, **kwargs)
+
+    monkeypatch.setattr(cnf, "at_most_k", slow_at_most_k)
+    monkeypatch.setattr(maxsat, "CdclSolver", counting_solver)
+    res = maxsat_solve(formula, budget=0.3)
+    assert res.status == FEASIBLE and res.cost > 0
+    assert len(built) == 1  # the first call's solver only
+    assert res.iterations == 1
 
 
 def test_maxsat_rejects_general_weights():
