@@ -20,8 +20,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, cnf, encode, postprocess, search, solve
-from .bdd import TruthTable, bdd_from_json, bdd_to_json, export_dot, gen_bdd, node_count
+from . import __version__, cnf, encode, search, solve
+from .bdd import TruthTable, bdd_from_json, bdd_to_json, export_dot, node_count
 from .data import DataError, Dataset, bind_like, load_csv, one_hot_binarize
 from .search import (
     LearnConfig,
@@ -38,6 +38,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SOLVER = 3
+
+# --model -> (encoder in ``encode``, emitter in ``cnf``), resolved by name
+# at call time so a replaced module attribute is the one that runs
+ENCODINGS = {
+    "bdd1": ("encode_bdd1", "emit_dimacs_cnf"),
+    "bdd2": ("encode_bdd2", "emit_dimacs_cnf"),
+    "maxsat": ("encode_maxsat", "emit_dimacs_wcnf"),
+}
 
 
 class UsageError(Exception):
@@ -155,18 +163,11 @@ def cmd_binarize(args) -> int:
 
 def cmd_encode(args) -> int:
     dataset = _load_dataset(args.input, args.label)
+    encoder, emitter = ENCODINGS[args.model]
     t0 = time.monotonic()
-    if args.model == "bdd1":
-        formula, ctx = encode.encode_bdd1(dataset, args.depth)
-    elif args.model == "bdd2":
-        formula, ctx = encode.encode_bdd2(dataset, args.depth)
-    else:
-        formula, ctx = encode.encode_maxsat(dataset, args.depth)
+    formula, ctx = getattr(encode, encoder)(dataset, args.depth)
     buf = io.StringIO()
-    if args.model == "maxsat":
-        cnf.emit_dimacs_wcnf(formula, buf)
-    else:
-        cnf.emit_dimacs_cnf(formula, buf)
+    getattr(cnf, emitter)(formula, buf)
     out = Path(args.output)
     _atomic_write(out, buf.getvalue())
     context_path = Path(args.context) if args.context else out.with_suffix(".context.json")
@@ -203,13 +204,8 @@ def _learn_config(args) -> LearnConfig:
     )
 
 
-def cmd_learn(args) -> int:
-    dataset = _load_dataset(args.input, args.label)
-    cfg = _learn_config(args)
-    t0 = time.monotonic()
-    model = learn(dataset, cfg)
-    elapsed = time.monotonic() - t0
-    config = {
+def _learn_config_doc(cfg: LearnConfig, label: str) -> dict:
+    return {
         "depth": cfg.depth,
         "mode": cfg.mode,
         "bias": cfg.bias,
@@ -217,8 +213,17 @@ def cmd_learn(args) -> int:
         "solver": cfg.solver_cmd or "embedded",
         "budget": cfg.budget,
         "seed": cfg.seed,
-        "label": args.label,
+        "label": label,
     }
+
+
+def cmd_learn(args) -> int:
+    dataset = _load_dataset(args.input, args.label)
+    cfg = _learn_config(args)
+    t0 = time.monotonic()
+    model = learn(dataset, cfg)
+    elapsed = time.monotonic() - t0
+    config = _learn_config_doc(cfg, args.label)
     doc = _model_doc(model, args.input, dataset, config, {"learn_seconds": elapsed})
     _write_json(Path(args.out), doc)
     if args.dot:
@@ -286,24 +291,13 @@ def cmd_decode(args) -> int:
         model_assignment = cnf.parse_model(handle.read())
     dataset = _load_dataset(args.data, args.label)
     positions, table = encode.decode(model_assignment, ctx)
-    ext = postprocess.mark_unknown(table, positions, dataset)
-    if args.bias == "S":
-        final = postprocess.apply_bias_S(ext)
-        diagram = gen_bdd(final, positions)
-    elif args.bias == "P":
-        final = postprocess.apply_bias_P(ext)
-        diagram = gen_bdd(final, positions)
-    else:
-        final, diagram = postprocess.apply_bias_C(ext, positions)
-    model = LearnedModel(
+    model = search.model_from_table(
+        dataset,
+        positions,
+        table,
         depth=ctx.depth,
         mode=search.MODE_SAT if ctx.variant != encode.MAXSAT else search.MODE_MAXSAT,
         bias=args.bias,
-        ordering=tuple(positions),
-        feature_names=dataset.feature_names,
-        table=final,
-        bdd=diagram,
-        train_accuracy=search.training_accuracy(dataset, positions, final),
         optimal=False,
         literal_count=int(ctx_doc.get("literal_count", 0)),
         solver_stats={"solver": "external", "decoded": True},
@@ -325,18 +319,7 @@ def cmd_cv(args) -> int:
     t0 = time.monotonic()
     report = cross_validate(dataset, cfg, args.k, seeds, jobs=jobs)
     elapsed = time.monotonic() - t0
-    config = {
-        "k": args.k,
-        "seeds": seeds,
-        "depth": cfg.depth,
-        "mode": cfg.mode,
-        "bias": cfg.bias,
-        "preselect": cfg.preselect.__dict__ if cfg.preselect else None,
-        "solver": cfg.solver_cmd or "embedded",
-        "budget": cfg.budget,
-        "seed": cfg.seed,
-        "label": args.label,
-    }
+    config = {"k": args.k, "seeds": seeds, **_learn_config_doc(cfg, args.label)}
     doc = report.to_json()
     doc["format"] = "bddlearn-cv/1"
     doc["manifest"] = _manifest(args.input, config, {"cv_seconds": elapsed}, [])
@@ -389,14 +372,14 @@ def build_parser() -> _Parser:
     add_data_flags(p)
     p.add_argument("output", help="CNF/WCNF file to write")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--model", choices=["bdd1", "bdd2", "maxsat"], default="bdd2")
+    p.add_argument("--model", choices=list(ENCODINGS), default="bdd2")
     p.add_argument("--context", help="context sidecar path (default: <output>.context.json)")
     p.set_defaults(func=cmd_encode)
 
     def add_learn_flags(p):
         p.add_argument("--depth", type=int, required=True)
         p.add_argument("--mode", choices=["sat", "maxsat"], default="maxsat")
-        p.add_argument("--bias", choices=["P", "C", "S"], default="S")
+        p.add_argument("--bias", choices=search.BIASES, default="S")
         p.add_argument("--preselect", choices=["off", "cart"], default="off")
         p.add_argument(
             "--preselect-depth",
@@ -442,7 +425,7 @@ def build_parser() -> _Parser:
     p.add_argument("--solver-output", required=True, help="file with s/v lines")
     p.add_argument("--data", required=True, help="training data CSV")
     p.add_argument("--label", required=True)
-    p.add_argument("--bias", choices=["P", "C", "S"], default="S")
+    p.add_argument("--bias", choices=search.BIASES, default="S")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)
 

@@ -75,12 +75,6 @@ class Dataset:
     def k(self) -> int:
         return len(self.feature_names)
 
-    def positives(self) -> list[int]:
-        return [q for q, label in enumerate(self.labels) if label == 1]
-
-    def negatives(self) -> list[int]:
-        return [q for q, label in enumerate(self.labels) if label == 0]
-
     def subset(self, indices: Iterable[int]) -> "Dataset":
         idx = list(indices)
         return Dataset(

@@ -112,6 +112,10 @@ def apply_bias_C(ext: ExtTable, ordering: Sequence[int]) -> tuple[TruthTable, Bd
     within a level (union-find over the compatible classes), and rewriting
     the cells in place updates every enclosing subtable as well.  Cells
     still unknown after the sweep are resolved like bias P.
+
+    The merge does not minimize the diagram, which can come out larger
+    than bias S's: cells ``1010uu0u`` over solver values ``10100000``
+    become ``10101000``, 5 nodes where S keeps 4.
     """
     cells = list(ext.cells)
     n = len(cells)

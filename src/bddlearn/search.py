@@ -1,8 +1,10 @@
 """Learning pipelines: depth search, feature preselection, train/evaluate.
 
 ``learn`` wires the full path together: optional greedy feature
-preselection, encoding, solving (embedded or external), model decoding,
-unknown-cell marking, and the configured generalization bias.
+preselection, encoding, solving (embedded or external) and model
+decoding.  ``model_from_table`` is the one way from a decoded ordering
+and truth table to a model: unknown-cell marking, the configured
+generalization bias, the diagram and the training accuracy.
 ``min_depth`` finds the smallest depth admitting a perfect classifier by
 linear search, and ``cross_validate`` runs the k-fold protocol.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from . import cnf, encode, postprocess, solve
-from .bdd import Bdd, TruthTable, classify, classify_table, gen_bdd, node_count
+from .bdd import Bdd, TruthTable, classify, gen_bdd, node_count
 from .data import DataError, Dataset, cell_counts, check_consistency, kfold
 
 MODE_SAT = "sat"
@@ -187,27 +189,59 @@ def greedy_seed(dataset: Dataset, depth: int) -> GreedySeed:
     return GreedySeed(ordering, TruthTable("".join(cells)), cost)
 
 
-def training_accuracy(dataset: Dataset, ordering, table) -> float:
-    hits = sum(
-        1
-        for row, label in zip(dataset.features, dataset.labels)
-        if classify_table(table, ordering, row) == label
+def training_accuracy(counts, table: TruthTable) -> float:
+    """Share of the examples counted per cell as ``(pos, neg)`` that ``table`` predicts."""
+    cells = table.cells
+    hits = sum(pos if ch == "1" else neg for ch, (pos, neg) in zip(cells, counts))
+    return hits / sum(pos + neg for pos, neg in counts)
+
+
+def model_from_table(
+    dataset: Dataset,
+    ordering: Sequence[int],
+    table: TruthTable,
+    *,
+    depth: int,
+    mode: str,
+    bias: str,
+    optimal: bool,
+    literal_count: int,
+    solver_stats: dict,
+) -> LearnedModel:
+    """The model of a decoded ordering and table: cells that capture no
+    example are re-decided by ``bias``, the diagram is built from the result,
+    and the training accuracy is read off the per-cell counts of the marking.
+    """
+    ext = postprocess.mark_unknown(table, ordering, dataset)
+    if bias == "C":
+        final, diagram = postprocess.apply_bias_C(ext, ordering)
+    else:
+        fill = postprocess.apply_bias_S if bias == "S" else postprocess.apply_bias_P
+        final = fill(ext)
+        diagram = gen_bdd(final, ordering)
+    return LearnedModel(
+        depth=depth,
+        mode=mode,
+        bias=bias,
+        ordering=tuple(ordering),
+        feature_names=dataset.feature_names,
+        table=final,
+        bdd=diagram,
+        train_accuracy=training_accuracy(ext.counts, final),
+        optimal=optimal,
+        literal_count=literal_count,
+        solver_stats=solver_stats,
     )
-    return hits / dataset.m
 
 
 def _constant_model(dataset: Dataset, cfg: LearnConfig | None) -> LearnedModel:
-    value = dataset.labels[0]
-    table = TruthTable("1" if value else "0")
-    return LearnedModel(
+    return model_from_table(
+        dataset,
+        (),
+        TruthTable("1" if dataset.labels[0] else "0"),
         depth=0,
         mode=cfg.mode if cfg else MODE_SAT,
         bias=cfg.bias if cfg else "S",
-        ordering=(),
-        feature_names=dataset.feature_names,
-        table=table,
-        bdd=gen_bdd(table, ()),
-        train_accuracy=1.0,
         optimal=True,
         literal_count=0,
         solver_stats={"elapsed": 0.0, "solver": "none"},
@@ -226,17 +260,6 @@ def _stats_dict(stats: solve.SatStats, extra: dict | None = None) -> dict:
     if extra:
         doc.update(extra)
     return doc
-
-
-def _solve_formula(formula, cfg: LearnConfig, budget: float, phases=None, bounded=()):
-    if cfg.solver_cmd:
-        with tempfile.TemporaryDirectory(prefix="bddlearn-") as workdir:
-            return solve.external_solve(formula, cfg.solver_cmd, workdir, budget=budget)
-    if cfg.mode == MODE_SAT:
-        return solve.sat_solve(formula, budget=budget, seed=cfg.seed)
-    return solve.maxsat_solve(
-        formula, budget=budget, seed=cfg.seed, phases=phases, bounded_clauses=bounded
-    )
 
 
 def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
@@ -284,7 +307,15 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
             raise SolverTimeoutError(f"no model within {cfg.budget}s")
         bounded = encode.ordered_tail(ctx)
 
-    result = _solve_formula(formula, cfg, budget, phases, bounded)
+    if cfg.solver_cmd:
+        with tempfile.TemporaryDirectory(prefix="bddlearn-") as workdir:
+            result = solve.external_solve(formula, cfg.solver_cmd, workdir, budget=budget)
+    elif cfg.mode == MODE_SAT:
+        result = solve.sat_solve(formula, budget=budget, seed=cfg.seed)
+    else:
+        result = solve.maxsat_solve(
+            formula, budget=budget, seed=cfg.seed, phases=phases, bounded_clauses=bounded
+        )
     if isinstance(result, solve.SatResult):
         if result.status == solve.TIMEOUT:
             raise SolverTimeoutError(f"no answer within {cfg.budget}s")
@@ -309,27 +340,13 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
         })
 
     positions, table = encode.decode(model, ctx)
-    ordering = tuple(feature_map[r] for r in positions)
-
-    ext = postprocess.mark_unknown(table, ordering, dataset)
-    if cfg.bias == "S":
-        final = postprocess.apply_bias_S(ext)
-        diagram = gen_bdd(final, ordering)
-    elif cfg.bias == "P":
-        final = postprocess.apply_bias_P(ext)
-        diagram = gen_bdd(final, ordering)
-    else:
-        final, diagram = postprocess.apply_bias_C(ext, ordering)
-
-    return LearnedModel(
+    return model_from_table(
+        dataset,
+        tuple(feature_map[r] for r in positions),
+        table,
         depth=cfg.depth,
         mode=cfg.mode,
         bias=cfg.bias,
-        ordering=ordering,
-        feature_names=dataset.feature_names,
-        table=final,
-        bdd=diagram,
-        train_accuracy=training_accuracy(dataset, ordering, final),
         optimal=optimal,
         literal_count=lits,
         solver_stats=stats,

@@ -1,6 +1,8 @@
 import json
 import sys
 
+import pytest
+
 from bddlearn.cli import main
 
 
@@ -298,6 +300,51 @@ def test_decode_round_trip_without_resolving(
     capsys.readouterr()
     assert run("evaluate", str(model_path), str(demo8_csv), "--label", "label") == 0
     assert capsys.readouterr().out.strip() == "1.000000"
+
+
+@pytest.mark.parametrize("bias", ["S", "P", "C"])
+@pytest.mark.parametrize("depth", ["2", "3"])
+def test_decode_matches_learn_for_each_bias(
+    tmp_path, demo8_csv, dimacs_shim, depth, bias
+):
+    # the shim runs CdclSolver(seed=0) on the clauses `learn --mode sat`
+    # solves, so both paths build the model from the same assignment; at
+    # depth 3 one cell captures no example and bias C re-decides it
+    import subprocess
+
+    cnf_path = tmp_path / "f.cnf"
+    data = (str(demo8_csv), "--label", "label", "--depth", depth)
+    assert run("encode", data[0], str(cnf_path), *data[1:], "--model", "bdd2") == 0
+    proc = subprocess.run(
+        [sys.executable, str(dimacs_shim), str(cnf_path)], capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    solver_out = tmp_path / "solver.out"
+    solver_out.write_bytes(proc.stdout)
+    decoded, learned = tmp_path / "decoded.json", tmp_path / "learned.json"
+    code = run(
+        "decode",
+        "--context",
+        str(tmp_path / "f.context.json"),
+        "--solver-output",
+        str(solver_out),
+        "--data",
+        str(demo8_csv),
+        "--label",
+        "label",
+        "--bias",
+        bias,
+        "--out",
+        str(decoded),
+    )
+    assert code == 0
+    code = run("learn", *data, "--mode", "sat", "--bias", bias, "--out", str(learned))
+    assert code == 0
+    a, b = json.loads(decoded.read_text()), json.loads(learned.read_text())
+    assert a["bias"] == b["bias"] == bias
+    for key in ("table", "ordering_indices", "bdd"):
+        assert a[key] == b[key]
+    assert a["metrics"]["train_accuracy"] == b["metrics"]["train_accuracy"]
 
 
 def test_cv_cli(tmp_path, demo8_csv, capsys):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddlearn import search, solve
-from bddlearn.bdd import SINK_ONE, node_count
-from bddlearn.data import DataError, dataset_from_bits
+from bddlearn.bdd import SINK_ONE, TruthTable, classify_table, node_count
+from bddlearn.data import DataError, cell_counts, dataset_from_bits
 from bddlearn.search import (
     DepthInsufficientError,
     LearnConfig,
@@ -19,6 +19,7 @@ from bddlearn.search import (
     learn,
     min_depth,
     preselect_features,
+    training_accuracy,
 )
 from oracles import best_split_error, random_dataset, route_counts
 
@@ -229,6 +230,24 @@ def test_greedy_seed_is_a_bead_with_its_reported_cost(depth, k, m, data):
     errors = sum(n if ch == "1" else p for ch, p, n in zip(cells, pos, neg))
     assert errors == seed.cost
     assert seed.cost >= best_split_error(ds, depth)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 24), st.data())
+def test_training_accuracy_from_cell_counts_matches_row_routing(depth, k, m, data):
+    k = max(k, depth)
+    bit = st.integers(0, 1)
+    rows = data.draw(st.lists(st.tuples(*[bit] * k), min_size=m, max_size=m))
+    labels = data.draw(st.lists(bit, min_size=m, max_size=m))
+    ordering = tuple(data.draw(st.permutations(range(k)))[:depth])
+    cells = data.draw(st.text("01", min_size=1 << depth, max_size=1 << depth))
+    ds = dataset_from_bits(rows, labels)
+    table = TruthTable(cells)
+    hits = sum(
+        classify_table(table, ordering, row) == label
+        for row, label in zip(ds.features, ds.labels)
+    )
+    assert training_accuracy(cell_counts(ds, ordering), table) == hits / m
 
 
 def test_learn_biases_only_touch_untrafficked_cells(demo8):
