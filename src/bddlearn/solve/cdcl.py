@@ -11,6 +11,19 @@ the signed literal itself: Python's negative indexing puts ``-v`` at
 unassigned) and ``watches[lit]`` its watch list, with no index arithmetic
 on the hot path.  Variable-indexed state (level, reason, activity, saved
 phase) stays indexed by ``v``.
+
+The VSIDS heap holds at most one current entry ``(-act[v], v)`` per
+variable, flagged in ``in_heap``, and always one for a free variable.  A
+bump of an assigned variable makes its entry stale and clears the flag
+instead of pushing; the variable is pushed again only when it is freed
+with the flag clear.  Stale entries are dropped when popped, so the heap
+still yields the free variable of highest activity, lowest index on ties.
+``_propagate`` walks a watch list in place and rebuilds it only when a
+clause moved its watch away, keeping the other watchers in their order.
+
+Construction looks at the caller's ``deadline`` every few thousand
+clauses; a solver whose construction ran past it answers ``TIMEOUT`` from
+:meth:`CdclSolver.solve` without searching.
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ _RESTART_BASE = 128
 _ACT_RESCALE = 1e100
 _VAR_DECAY = 0.95
 _CLA_DECAY = 0.999
+_DEADLINE_CHUNK = 4096  # clauses built between two looks at the deadline
 
 
 @dataclass
@@ -56,6 +70,12 @@ class SatResult:
         return self.status == SAT
 
 
+def _drop(watches: list[list[int]], lit: int, moved: list[int]) -> None:
+    """Rebuild ``watches[lit]`` without the clauses whose watch moved away."""
+    gone = set(moved)
+    watches[lit] = [ci for ci in watches[lit] if ci not in gone]
+
+
 def _luby(i: int) -> int:
     while True:
         k = i.bit_length()
@@ -68,7 +88,9 @@ class CdclSolver:
     """One solver instance owns its formula; not thread-safe.
 
     Every clause kept is a fresh list, so the caller's clauses are never
-    mutated and may be shared between solvers.
+    mutated and may be shared between solvers.  ``deadline``, a
+    :func:`time.monotonic` value, bounds construction as ``solve``'s
+    budget bounds the search.
     """
 
     def __init__(
@@ -78,6 +100,7 @@ class CdclSolver:
         seed: int = 0,
         max_learnts: int | None = None,
         phases: Mapping[int, int] | None = None,
+        deadline: float | None = None,
     ):
         self.n = var_count
         n1 = var_count + 1
@@ -101,43 +124,52 @@ class CdclSolver:
         self.var_inc = 1.0
         self.cla_inc = 1.0
         self.heap: list[tuple[float, int]] = []
+        # 1 while the heap holds the entry (-act[v], v); at most one does
+        self.in_heap = bytearray(b"\x01") * n1
         self.seen = bytearray(n1)
         self.stats = SatStats()
         self.ok = True
         self.n_problem = 0
         self.max_learnts = max_learnts
         self._units: list[int] = []
+        self.expired = False  # construction ran past ``deadline``
 
         # Occurrence counts guide the first decisions; the seeded jitter
         # keeps distinct seeds on distinct (but reproducible) trajectories.
         kept = self.clauses
         watches = self.watches
         act = self.act
-        for clause in clauses:
-            if len(clause) == 2:  # most clauses: no set needed
-                x, y = clause
-                if x == -y:
-                    continue
-                lits = [x, y] if x != y else [x]
-            else:
-                present = set(clause)
-                if len(present) == len(clause) and present.isdisjoint(map(neg, clause)):
-                    lits = list(clause)
-                else:
-                    lits = self._sanitize(clause)
-                    if lits is None:  # tautology
-                        continue
-            if len(lits) > 1:
-                watches[lits[0]].append(len(kept))
-                watches[lits[1]].append(len(kept))
-                kept.append(lits)
-                for lit in lits:
-                    act[lit if lit > 0 else -lit] += 1e-5
-            elif lits:
-                self._units.append(lits[0])
-            else:
-                self.ok = False
+        for lo in range(0, len(clauses), _DEADLINE_CHUNK):
+            if deadline is not None and time.monotonic() > deadline:
+                self.expired = True
                 return
+            for clause in clauses[lo : lo + _DEADLINE_CHUNK]:
+                if len(clause) == 2:  # most clauses: no set needed
+                    x, y = clause
+                    if x == -y:
+                        continue
+                    lits = [x, y] if x != y else [x]
+                else:
+                    present = set(clause)
+                    if len(present) == len(clause) and present.isdisjoint(
+                        map(neg, clause)
+                    ):
+                        lits = list(clause)
+                    else:
+                        lits = self._sanitize(clause)
+                        if lits is None:  # tautology
+                            continue
+                if len(lits) > 1:
+                    watches[lits[0]].append(len(kept))
+                    watches[lits[1]].append(len(kept))
+                    kept.append(lits)
+                    for lit in lits:
+                        act[lit if lit > 0 else -lit] += 1e-5
+                elif lits:
+                    self._units.append(lits[0])
+                else:
+                    self.ok = False
+                    return
         self.n_problem = len(kept)
         self.cla_act = [0.0] * len(kept)
         rng = Random(seed)
@@ -192,11 +224,8 @@ class CdclSolver:
             wl = watches[false_lit]
             if not wl:
                 continue
-            pending = iter(wl)
-            kept: list[int] = []
-            watches[false_lit] = kept
-            keep = kept.append
-            for ci in pending:
+            moved: list[int] = []
+            for ci in wl:
                 clause = clauses[ci]
                 first = clause[0]
                 if first == false_lit:
@@ -205,7 +234,6 @@ class CdclSolver:
                     clause[1] = false_lit
                 val_first = val[first]
                 if val_first == 1:
-                    keep(ci)
                     continue
                 if len(clause) > 2:  # look for a new watch
                     for k in range(2, len(clause)):
@@ -214,14 +242,15 @@ class CdclSolver:
                             clause[1] = lk
                             clause[k] = false_lit
                             watches[lk].append(ci)
+                            moved.append(ci)
                             break
                     else:
                         k = 0  # no new watch: the clause is unit or false
                     if k:
                         continue
-                keep(ci)
                 if val_first == 0:
-                    kept.extend(pending)  # conflict: keep the pending watchers
+                    if moved:  # the unvisited watchers stay
+                        _drop(watches, false_lit, moved)
                     self.qhead = qhead
                     self.stats.propagations += props
                     return ci
@@ -232,6 +261,8 @@ class CdclSolver:
                 reason[v] = ci
                 trail.append(first)
                 props += 1
+            if moved:
+                _drop(watches, false_lit, moved)
         self.qhead = qhead
         self.stats.propagations += props
         return -1
@@ -245,6 +276,7 @@ class CdclSolver:
         val = self.val
         self.heap = [(-act[u], u) for u in range(1, self.n + 1) if val[u] < 0]
         heapify(self.heap)
+        self.in_heap = bytearray(val[u] < 0 for u in range(self.n + 1))
 
     def _bump_clause(self, ci: int) -> None:
         """Bump learned clause ``ci`` (problem clauses carry no activity)."""
@@ -263,7 +295,7 @@ class CdclSolver:
         clauses = self.clauses
         reason = self.reason
         act = self.act
-        heap = self.heap
+        in_heap = self.in_heap
         var_inc = self.var_inc
         n_problem = self.n_problem
         learnt: list[int] = [0]
@@ -286,10 +318,11 @@ class CdclSolver:
                     act[v] = a
                     if a > _ACT_RESCALE:
                         self._rescale_vars()
-                        heap = self.heap
+                        in_heap = self.in_heap
                         var_inc = self.var_inc
-                        a = act[v]
-                    heappush(heap, (-a, v))
+                    # v is assigned: its entry went stale, and _cancel_until
+                    # pushes the current one when v is freed
+                    in_heap[v] = 0
                     if level[v] >= cur_level:
                         counter += 1
                     else:
@@ -363,13 +396,16 @@ class CdclSolver:
         reason = self.reason
         act = self.act
         heap = self.heap
+        in_heap = self.in_heap
         trail = self.trail
         for lit in reversed(trail[limit:]):
             v = lit if lit > 0 else -lit
             saved[v] = val[v]
             val[v] = val[-v] = -1
             reason[v] = -1
-            heappush(heap, (-act[v], v))
+            if not in_heap[v]:
+                in_heap[v] = 1
+                heappush(heap, (-act[v], v))
         del trail[limit:]
         del self.trail_lim[lvl:]
         self.qhead = limit
@@ -378,13 +414,13 @@ class CdclSolver:
         heap = self.heap
         val = self.val
         act = self.act
+        in_heap = self.in_heap
         while heap:
             neg_act, v = heappop(heap)
-            if val[v] < 0 and -neg_act == act[v]:
-                return v
-        for v in range(1, self.n + 1):  # heap went stale; shouldn't happen often
-            if val[v] < 0:
-                return v
+            if -neg_act == act[v]:  # v's one current entry; others are stale
+                in_heap[v] = 0
+                if val[v] < 0:
+                    return v
         return None
 
     def _reduce_db(self) -> None:
@@ -429,6 +465,8 @@ class CdclSolver:
             self.stats.elapsed = time.monotonic() - start
             return SatResult(status, model, self.stats)
 
+        if self.expired:
+            return finish(TIMEOUT, None)
         if not self.ok:
             return finish(UNSAT, None)
         val = self.val
@@ -495,13 +533,15 @@ def sat_solve(
 ) -> SatResult:
     """Run the embedded CDCL solver on the hard clauses of ``formula``.
 
-    Soft clauses are ignored with a warning.  A SAT answer comes with a
-    model verified against every hard clause; verification failure aborts.
+    Soft clauses are ignored with a warning.  ``budget`` covers solver
+    construction and search.  A SAT answer comes with a model verified
+    against every hard clause; verification failure aborts.
     """
     if formula.soft:
         warnings.warn("sat_solve ignores soft clauses", stacklevel=2)
-    solver = CdclSolver(formula.hard, formula.var_count, seed=seed)
-    result = solver.solve(budget)
+    deadline = None if budget is None else time.monotonic() + budget
+    solver = CdclSolver(formula.hard, formula.var_count, seed=seed, deadline=deadline)
+    result = solver.solve(None if deadline is None else deadline - time.monotonic())
     if result.status == SAT:
         assert result.model is not None
         if not cnf.verify_model(formula, result.model):

@@ -20,7 +20,8 @@ clauses that every bounded call gets and the first call does not.  They
 must keep some model of each cost, as the lex-leader clauses of
 :func:`bddlearn.encode.ordered_tail` do.  The UNSAT proof at the end then
 refutes one representative per symmetry class.  A bounded call whose
-cardinality network is finished only after the deadline gets no solver.
+cardinality network is finished only after the deadline gets no solver,
+and a solver whose construction runs past the deadline does not search.
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ def maxsat_solve(
         return MaxSatResult(status, model, cost, optimal, stats, iterations)
 
     def run_sat(work: cnf.Formula, phases=None) -> "object":
-        solver = CdclSolver(work.hard, work.var_count, seed=seed, phases=phases)
+        solver = CdclSolver(
+            work.hard, work.var_count, seed=seed, phases=phases, deadline=deadline
+        )
         res = solver.solve(remaining())
         _merge_stats(stats, res.stats)
         if res.status == SAT:

@@ -116,6 +116,18 @@ def test_bias_C_merge_scenario_matches_worked_example():
     assert diagram.left[n01] == SINK_ZERO and diagram.right[n01] == SINK_ONE
 
 
+def test_bias_C_can_build_a_larger_diagram_than_bias_S():
+    # merging is not minimizing: the case the apply_bias_C docstring states
+    cells, solver = "1010uu0u", "10100000"
+    counts = tuple({"1": (1, 0), "0": (0, 1), "u": (0, 0)}[c] for c in cells)
+    ext = ExtTable(cells, solver, counts)
+    ordering = (1, 0, 4)
+    table, diagram = apply_bias_C(ext, ordering)
+    assert table.cells == "10101000"
+    assert node_count(diagram) == 5
+    assert node_count(gen_bdd(apply_bias_S(ext), ordering)) == 4
+
+
 def test_bias_C_without_unknowns_is_plain_construction(demo8):
     ext = mark_unknown("1000", (0, 1), demo8)
     table, diagram = apply_bias_C(ext, (0, 1))

@@ -1,11 +1,13 @@
 import random
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 from bddlearn import cnf
-from bddlearn.encode import decode, encode_maxsat, ordered_tail
+from bddlearn.data import dataset_from_bits
+from bddlearn.encode import decode, encode_bdd2, encode_maxsat, ordered_tail
 from bddlearn.solve import maxsat
 from bddlearn.solve import (
     FEASIBLE,
@@ -121,6 +123,72 @@ def test_search_trajectory_is_pinned():
     st = res.stats
     assert (res.cost, res.iterations) == (5, 11)
     assert (st.conflicts, st.decisions, st.propagations) == (1403, 2324, 123539)
+
+
+def _wide_probe(seed: int):
+    """The depth-2 SAT probe over 45 random bit columns and 200 rows whose
+    labels follow a depth-2 rule on two of the columns."""
+    rng = random.Random(seed)
+    rows = [tuple(rng.randint(0, 1) for _ in range(45)) for _ in range(200)]
+    a, b = rng.sample(range(45), 2)
+    labels = [int("0110"[2 * row[a] + row[b]]) for row in rows]
+    formula, _ = encode_bdd2(dataset_from_bits(rows, labels), 2)
+    return formula
+
+
+def test_wide_sat_probe_trajectory_is_pinned():
+    # long binary watch lists over few decisions, as in a min_depth probe;
+    # the counts are those of the solver before its one-entry heap and
+    # in-place watch walk, which must not change a single step
+    f = _wide_probe(18)
+    res = CdclSolver(f.hard, f.var_count, seed=0).solve(60)
+    st = res.stats
+    assert res.status == SAT
+    assert (st.conflicts, st.decisions, st.propagations, st.restarts) == (
+        164, 581, 49567, 1
+    )
+
+
+def _assert_one_current_heap_entry(solver: CdclSolver) -> None:
+    """Every free variable has exactly one heap entry (-act[v], v), and no
+    variable has two; ``in_heap`` marks the variables that have one."""
+    current = Counter(e for e in solver.heap if e == (-solver.act[e[1]], e[1]))
+    for v in range(1, solver.n + 1):
+        count = current[(-solver.act[v], v)]
+        assert count <= 1
+        assert solver.in_heap[v] == count
+        if solver.val[v] < 0:
+            assert count == 1
+
+
+def test_heap_holds_one_current_entry_per_free_variable():
+    f = _pigeonhole(9)
+    solver = CdclSolver(f.hard, f.var_count, seed=0)
+    assert solver.solve(0.05).status == TIMEOUT
+    assert solver.stats.conflicts > 0
+    _assert_one_current_heap_entry(solver)
+
+    f = _pigeonhole(7)
+    solver = CdclSolver(f.hard, f.var_count, seed=0)
+    rescale, rescales = solver._rescale_vars, []
+
+    def counting_rescale():
+        rescales.append(1)
+        rescale()
+
+    solver._rescale_vars = counting_rescale
+    assert solver.solve(60).status == UNSAT
+    assert rescales
+    _assert_one_current_heap_entry(solver)
+
+
+def test_construction_after_the_deadline_times_out():
+    f = _pigeonhole(9)
+    solver = CdclSolver(f.hard, f.var_count, deadline=time.monotonic() - 1.0)
+    res = solver.solve(60)
+    assert res.status == TIMEOUT
+    assert res.model is None
+    assert res.stats.conflicts == 0
 
 
 def test_budget_exhaustion_times_out():
