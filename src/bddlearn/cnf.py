@@ -59,6 +59,21 @@ class Formula:
     def add_hard(self, clause: Iterable[int]) -> None:
         self.hard.append(self._checked(clause))
 
+    def add_hard_clauses(self, clauses: list[list[int]]) -> None:
+        """Append freshly built clauses, which the formula then owns.
+
+        The same checks as :meth:`add_hard`, made in one pass over the
+        whole batch; on a failure nothing is appended.
+        """
+        if not all(clauses):
+            raise FormulaError("empty clause")
+        n = self.var_count
+        lits = list(itertools.chain.from_iterable(clauses))
+        if lits and (min(lits) < -n or max(lits) > n or 0 in lits):
+            bad = next(lit for lit in lits if lit == 0 or abs(lit) > n)
+            raise FormulaError(f"literal {bad} outside variable range 1..{n}")
+        self.hard.extend(clauses)
+
     def add_soft(self, clause: Iterable[int], weight: int = 1) -> None:
         if weight < 1:
             raise FormulaError("soft weights must be >= 1")

@@ -222,14 +222,13 @@ def _classification_clauses(ctx: EncodingContext, dataset: Dataset):
 def _feature_value_links(formula: cnf.Formula, ctx: EncodingContext, dataset: Dataset):
     # placing feature r at position i fixes d[i][q] to the feature value
     assert ctx.d is not None
+    unplaced = [[-ctx.a[r][i] for r in range(ctx.n_features)] for i in range(ctx.depth)]
+    links: list[list[int]] = []
     for q, row in enumerate(dataset.features):
-        for i in range(ctx.depth):
+        for i, not_here in enumerate(unplaced):
             d_lit = ctx.d[i][q]
-            for r in range(ctx.n_features):
-                if row[r]:
-                    formula.add_hard([-ctx.a[r][i], d_lit])
-                else:
-                    formula.add_hard([-ctx.a[r][i], -d_lit])
+            links += [[x, d_lit if bit else -d_lit] for x, bit in zip(not_here, row)]
+    formula.add_hard_clauses(links)
 
 
 def encode_bdd2(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingContext]:

@@ -2,7 +2,11 @@
 
 ``learn`` wires the full path together: optional greedy feature
 preselection, encoding, solving (embedded or external) and model
-decoding.  ``model_from_table`` is the one way from a decoded ordering
+decoding.  On the embedded path a greedy classifier that errs on no
+example answers without a solver, so SAT-mode ``learn``, ``min_depth``
+and SAT-mode cross-validation may return a different perfect ordering
+and table than the solver would; MaxSAT costs are unchanged.
+``model_from_table`` is the one way from a decoded ordering
 and truth table to a model: unknown-cell marking, the configured
 generalization bias, the diagram and the training accuracy.
 ``min_depth`` finds the smallest depth admitting a perfect classifier by
@@ -18,7 +22,15 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from . import cnf, encode, postprocess, solve
-from .bdd import Bdd, TruthTable, classify, gen_bdd, node_count
+from .bdd import (
+    Bdd,
+    TruthTable,
+    classify,
+    classify_table,
+    gen_bdd,
+    is_bead,
+    node_count,
+)
 from .data import DataError, Dataset, cell_counts, check_consistency, kfold
 
 MODE_SAT = "sat"
@@ -262,15 +274,47 @@ def _stats_dict(stats: solve.SatStats, extra: dict | None = None) -> dict:
     return doc
 
 
+def _check_witness(dataset: Dataset, seed: GreedySeed, depth: int) -> None:
+    """Raise unless ``seed`` orders ``depth`` distinct features of
+    ``dataset`` over a bead that classifies every example right, checked
+    row by row."""
+    ordering, cells = seed.ordering, seed.table.cells
+    if not (
+        len(ordering) == depth == len(set(ordering))
+        and all(0 <= r < dataset.k for r in ordering)
+        and len(cells) == 1 << depth
+        and is_bead(cells)
+        and all(
+            classify_table(cells, ordering, row) == label
+            for row, label in zip(dataset.features, dataset.labels)
+        )
+    ):
+        raise RuntimeError("internal error: model fails hard-clause check")
+
+
 def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     """Learn one classifier at the configured depth.
 
     SAT mode refuses inconsistent datasets up front (no depth can fix a
     feature-vector conflict) and reports UNSAT as "depth insufficient".
     A single-class dataset short-circuits to a sink-only diagram without
-    touching a solver.  When the embedded MaxSAT solver finds no model
-    within the budget, the greedy seed comes back as a non-optimal model.
+    touching a solver.  The budget runs from the call on.  The embedded
+    solver is preceded by a greedy classifier: when it errs on no example
+    it is a perfect, hence optimal, model, and it is returned, re-checked
+    row by row, without building a solver.  SAT mode may therefore return
+    a different perfect ordering and table than the solver would.
+    Otherwise the greedy classifier starts the MaxSAT descent, and it comes
+    back as a non-optimal model when the solver finds none within the
+    budget.
     """
+    deadline = time.monotonic() + cfg.budget
+
+    def remaining() -> float:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise SolverTimeoutError(f"no model within {cfg.budget}s")
+        return left
+
     if dataset.m == 0:
         raise DataError("empty training set")
     if len(set(dataset.labels)) == 1:
@@ -294,28 +338,54 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
         formula, ctx = encode.encode_maxsat(work, cfg.depth)
     lits = cnf.literal_count(formula)
 
-    # the embedded MaxSAT descent starts from a greedy classifier, whose
-    # construction counts against the budget, and its bounded calls look
-    # at tail-sorted orderings only
-    budget, phases, greedy, bounded = cfg.budget, None, None, []
-    if cfg.mode == MODE_MAXSAT and not cfg.solver_cmd and work.k >= cfg.depth:
-        t0 = time.monotonic()
+    def build(positions, table, optimal: bool, stats: dict) -> LearnedModel:
+        return model_from_table(
+            dataset,
+            tuple(feature_map[r] for r in positions),
+            table,
+            depth=cfg.depth,
+            mode=cfg.mode,
+            bias=cfg.bias,
+            optimal=optimal,
+            literal_count=lits,
+            solver_stats=stats,
+        )
+
+    greedy = None
+    if not cfg.solver_cmd and work.k >= cfg.depth:
         greedy = greedy_seed(work, cfg.depth)
+    remaining()  # raises once the budget is spent, witness or not
+    if greedy is not None and greedy.cost == 0:
+        _check_witness(work, greedy, cfg.depth)
+        extra = {"seed_cost": 0}
+        if cfg.mode == MODE_MAXSAT:
+            extra = {"cost": 0, "iterations": 0, "seed_cost": 0}
+        stats = _stats_dict(solve.SatStats(), extra)
+        return build(greedy.ordering, greedy.table, True, stats)
+
+    # the embedded MaxSAT descent starts from the greedy classifier, and its
+    # bounded calls look at tail-sorted orderings only
+    phases, bounded = None, []
+    if cfg.mode == MODE_MAXSAT and greedy is not None:
         phases = encode.model_phases(ctx, greedy.ordering, greedy.table)
-        budget -= time.monotonic() - t0
-        if budget <= 0:
-            raise SolverTimeoutError(f"no model within {cfg.budget}s")
         bounded = encode.ordered_tail(ctx)
 
     if cfg.solver_cmd:
         with tempfile.TemporaryDirectory(prefix="bddlearn-") as workdir:
-            result = solve.external_solve(formula, cfg.solver_cmd, workdir, budget=budget)
+            result = solve.external_solve(
+                formula, cfg.solver_cmd, workdir, budget=remaining()
+            )
     elif cfg.mode == MODE_SAT:
-        result = solve.sat_solve(formula, budget=budget, seed=cfg.seed)
+        result = solve.sat_solve(formula, budget=remaining(), seed=cfg.seed)
     else:
         result = solve.maxsat_solve(
-            formula, budget=budget, seed=cfg.seed, phases=phases, bounded_clauses=bounded
+            formula,
+            budget=remaining(),
+            seed=cfg.seed,
+            phases=phases,
+            bounded_clauses=bounded,
         )
+    seed_cost = greedy.cost if greedy else None
     if isinstance(result, solve.SatResult):
         if result.status == solve.TIMEOUT:
             raise SolverTimeoutError(f"no answer within {cfg.budget}s")
@@ -325,7 +395,7 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
             )
         model = result.model
         optimal = True
-        stats = _stats_dict(result.stats)
+        stats = _stats_dict(result.stats, {"seed_cost": seed_cost})
     else:
         model, cost = result.model, result.cost
         if result.status == solve.TIMEOUT_NO_SOLUTION:
@@ -336,21 +406,11 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
         stats = _stats_dict(result.stats, {
             "cost": cost,
             "iterations": result.iterations,
-            "seed_cost": greedy.cost if greedy else None,
+            "seed_cost": seed_cost,
         })
 
     positions, table = encode.decode(model, ctx)
-    return model_from_table(
-        dataset,
-        tuple(feature_map[r] for r in positions),
-        table,
-        depth=cfg.depth,
-        mode=cfg.mode,
-        bias=cfg.bias,
-        optimal=optimal,
-        literal_count=lits,
-        solver_stats=stats,
-    )
+    return build(positions, table, optimal, stats)
 
 
 @dataclass
@@ -376,6 +436,8 @@ def min_depth(
     until the boundary is bracketed; ``strategy="binary"`` bisects
     instead.  Consistent data is always separable at depth K, so the walk
     terminates.  Single-class data short-circuits to the constant model.
+    A SAT probe whose greedy classifier is already perfect returns that
+    classifier (see :func:`learn`); UNSAT answers come from the solver.
     """
     if h0 < 1:
         raise ValueError("h0 must be >= 1")

@@ -307,9 +307,10 @@ def test_decode_round_trip_without_resolving(
 def test_decode_matches_learn_for_each_bias(
     tmp_path, demo8_csv, dimacs_shim, depth, bias
 ):
-    # the shim runs CdclSolver(seed=0) on the clauses `learn --mode sat`
-    # solves, so both paths build the model from the same assignment; at
-    # depth 3 one cell captures no example and bias C re-decides it
+    # `learn --mode sat` runs the shim as its external solver, which takes
+    # no greedy witness, so both paths build the model from the shim's
+    # assignment of the same clauses; at depth 3 one cell captures no
+    # example and bias C re-decides it
     import subprocess
 
     cnf_path = tmp_path / "f.cnf"
@@ -338,7 +339,11 @@ def test_decode_matches_learn_for_each_bias(
         str(decoded),
     )
     assert code == 0
-    code = run("learn", *data, "--mode", "sat", "--bias", bias, "--out", str(learned))
+    shim_cmd = f"{sys.executable} {dimacs_shim} {{file}}"
+    code = run(
+        "learn", *data, "--mode", "sat", "--bias", bias, "--solver", shim_cmd,
+        "--out", str(learned),
+    )
     assert code == 0
     a, b = json.loads(decoded.read_text()), json.loads(learned.read_text())
     assert a["bias"] == b["bias"] == bias

@@ -31,6 +31,19 @@ def test_add_hard_rejects_empty_and_out_of_range():
         f.add_soft([1], weight=0)
 
 
+@pytest.mark.parametrize("bad", [3, -3, 0])
+def test_add_hard_clauses_names_a_bad_literal_and_adds_nothing(bad):
+    f = cnf.Formula(2)
+    f.add_hard([1])
+    with pytest.raises(cnf.FormulaError, match=f"literal {bad} outside"):
+        f.add_hard_clauses([[1, -2], [2, bad], [-1]])
+    with pytest.raises(cnf.FormulaError, match="empty clause"):
+        f.add_hard_clauses([[1, -2], []])
+    assert f.hard == [[1]]
+    f.add_hard_clauses([[1, -2], [2]])
+    assert f.hard == [[1], [1, -2], [2]]
+
+
 def _all_models(formula, onto):
     return projected_models(formula.hard, formula.var_count, onto)
 

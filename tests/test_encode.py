@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bddlearn import cnf
+from bddlearn import cnf, encode
 from bddlearn.bdd import TruthTable, classify_table, is_bead
 from bddlearn.data import DataError, dataset_from_bits
 from bddlearn.encode import (
@@ -362,3 +362,11 @@ def test_depth_validation(demo8):
         encode_bdd2(demo8, 0)
     with pytest.raises(ValueError):
         encode_maxsat(demo8, 40)
+
+
+def test_feature_value_links_name_a_literal_outside_the_formula(demo8):
+    # the links are range-checked as one batch: a context whose variables
+    # the formula never allocated is refused at its first literal
+    _, ctx = encode._new_context(demo8, 2, encode.BDD2)
+    with pytest.raises(cnf.FormulaError, match="literal -1 outside"):
+        encode._feature_value_links(cnf.Formula(), ctx, demo8)

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bddlearn import search, solve
@@ -389,3 +389,145 @@ def test_learn_config_validation():
         LearnConfig(depth=1, bias="X")
     with pytest.raises(ValueError):
         LearnConfig(depth=1, budget=0)
+
+
+def cube_dataset(label):
+    """Every row of three features, labelled by ``label(row)``."""
+    rows = [((a >> 2) & 1, (a >> 1) & 1, a & 1) for a in range(8)]
+    return dataset_from_bits(rows, [label(r) for r in rows])
+
+
+def _no_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver was built")
+
+    for owner in (solve.cdcl, solve.maxsat, solve):
+        monkeypatch.setattr(owner, "CdclSolver", refuse)
+
+
+@pytest.mark.parametrize("mode", ["sat", "maxsat"])
+def test_a_perfect_seed_is_returned_without_a_solver(monkeypatch, demo8, mode):
+    assert greedy_seed(demo8, 2).cost == 0
+    _no_solver(monkeypatch)
+    model = learn(demo8, LearnConfig(depth=2, mode=mode, budget=60))
+    assert model.optimal
+    assert model.train_accuracy == 1.0
+    assert model.ordering == greedy_seed(demo8, 2).ordering
+    stats = model.solver_stats
+    counters = ("decisions", "conflicts", "propagations", "restarts", "learned_deleted")
+    assert all(stats[key] == 0 for key in counters)
+    assert stats["seed_cost"] == 0
+    if mode == "maxsat":
+        assert stats["cost"] == stats["iterations"] == 0
+
+
+@pytest.mark.parametrize("mode", ["sat", "maxsat"])
+def test_the_solver_still_runs_when_the_seed_errs(monkeypatch, mode):
+    # on f1 xor f2 every single feature errs on half the rows, so the
+    # greedy classifier opens with f0 and errs on four rows at depth 2
+    ds = cube_dataset(lambda r: r[1] ^ r[2])
+    assert greedy_seed(ds, 2).cost == 4
+    built = []
+    for owner in (solve.cdcl, solve.maxsat):
+        cls = owner.CdclSolver
+
+        def counted(*args, _cls=cls, **kwargs):
+            built.append(1)
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(owner, "CdclSolver", counted)
+    model = learn(ds, LearnConfig(depth=2, mode=mode, budget=60))
+    assert built
+    assert model.optimal
+    assert model.train_accuracy == 1.0
+    assert sorted(model.ordering) == [1, 2]
+    assert model.solver_stats["seed_cost"] == 4
+
+
+@pytest.mark.parametrize(
+    "ordering, cells",
+    [
+        ((1, 2), "1100"),  # misclassifies every row
+        ((1, 1), "0011"),  # right on every row, but a feature placed twice
+        ((0, 1), "0101"),  # right on every row, but not a bead
+    ],
+)
+@pytest.mark.parametrize("mode", ["sat", "maxsat"])
+def test_a_false_zero_cost_seed_is_an_internal_error(
+    monkeypatch, mode, ordering, cells
+):
+    # labels are f1; each seed above claims cost 0 and breaks exactly one
+    # of the witness checks
+    ds = cube_dataset(lambda r: r[1])
+    lying = search.GreedySeed(ordering, TruthTable(cells), 0)
+    monkeypatch.setattr(search, "greedy_seed", lambda d, h: lying)
+    with pytest.raises(RuntimeError, match="internal error"):
+        learn(ds, LearnConfig(depth=2, mode=mode, budget=60))
+
+
+def test_maxsat_witness_matches_the_solver_on_separable_data(monkeypatch):
+    # with the seed's cost hidden, the descent starts from the same seed
+    # and the solver picks the model, as it did before the witness
+    rng = random.Random(5)
+    witnessed = 0
+    for i in range(12):
+        # labels follow a random depth-2 rule on two random features
+        depth = 2 + i % 2
+        f, g = rng.sample(range(6), 2)
+        rule = rng.choice(["0001", "0111", "0110", "1000", "0010", "1011"])
+        rows = [tuple(rng.randint(0, 1) for _ in range(6)) for _ in range(20)]
+        ds = dataset_from_bits(rows, [int(rule[2 * r[f] + r[g]]) for r in rows])
+        seed = greedy_seed(ds, depth)
+        if seed.cost:
+            continue
+        witnessed += 1
+        cfg = LearnConfig(depth=depth, mode="maxsat", bias="S", budget=60)
+        fast = learn(ds, cfg)
+        hidden = search.GreedySeed(seed.ordering, seed.table, 1)
+        with monkeypatch.context() as m:
+            m.setattr(search, "greedy_seed", lambda d, h: hidden)
+            slow = learn(ds, cfg)
+        assert fast.solver_stats["iterations"] == 0
+        assert slow.solver_stats["iterations"] > 0
+        assert (fast.ordering, fast.table) == (slow.ordering, slow.table)
+    assert witnessed >= 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 24), st.data())
+def test_sat_learn_is_perfect_exactly_when_the_oracle_errs_nowhere(depth, k, m, data):
+    bit = st.integers(0, 1)
+    rows = data.draw(st.lists(st.tuples(*[bit] * k), min_size=m, max_size=m))
+    truth = {row: data.draw(bit) for row in sorted(set(rows))}
+    labels = [truth[row] for row in rows]
+    assume(len(set(labels)) == 2)
+    ds = dataset_from_bits(rows, labels)
+    cfg = LearnConfig(depth=depth, mode="sat", budget=60)
+    if best_split_error(ds, depth) == 0:
+        model = learn(ds, cfg)
+        assert model.optimal
+        assert all(
+            classify_table(model.table, model.ordering, row) == label
+            for row, label in zip(ds.features, ds.labels)
+        )
+    else:
+        with pytest.raises(DepthInsufficientError):
+            learn(ds, cfg)
+
+
+@pytest.mark.parametrize(
+    "mode, encoder", [("sat", "encode_bdd2"), ("maxsat", "encode_maxsat")]
+)
+def test_the_budget_runs_from_the_call(monkeypatch, demo8, mode, encoder):
+    # demo8's seed is perfect at depth 2, so only the budget stops the
+    # witness after an encoding that outlasts it
+    encode_fn = getattr(search.encode, encoder)
+
+    def slow_encode(dataset, depth):
+        time.sleep(0.06)
+        return encode_fn(dataset, depth)
+
+    monkeypatch.setattr(search.encode, encoder, slow_encode)
+    _no_solver(monkeypatch)
+    with pytest.raises(SolverTimeoutError):
+        learn(demo8, LearnConfig(depth=2, mode=mode, budget=0.03))
