@@ -62,16 +62,17 @@ class Formula:
     def add_hard_clauses(self, clauses: list[list[int]]) -> None:
         """Append freshly built clauses, which the formula then owns.
 
-        The same checks as :meth:`add_hard`, made in one pass over the
-        whole batch; on a failure nothing is appended.
+        One pass over the whole batch screens it; a batch that fails the
+        screen goes through :meth:`_checked` clause by clause, which raises
+        at the first fault.  On a failure nothing is appended.
         """
-        if not all(clauses):
-            raise FormulaError("empty clause")
         n = self.var_count
         lits = list(itertools.chain.from_iterable(clauses))
-        if lits and (min(lits) < -n or max(lits) > n or 0 in lits):
-            bad = next(lit for lit in lits if lit == 0 or abs(lit) > n)
-            raise FormulaError(f"literal {bad} outside variable range 1..{n}")
+        if clauses and (
+            not all(clauses) or min(lits) < -n or max(lits) > n or 0 in lits
+        ):
+            for clause in clauses:
+                self._checked(clause)
         self.hard.extend(clauses)
 
     def add_soft(self, clause: Iterable[int], weight: int = 1) -> None:

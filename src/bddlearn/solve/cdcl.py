@@ -23,14 +23,11 @@ clause moved its watch away, keeping the other watchers in their order.
 
 Construction looks at the caller's ``deadline`` every few thousand
 clauses; a solver whose construction ran past it answers ``TIMEOUT`` from
-:meth:`CdclSolver.solve` without searching.  The cyclic garbage
-collector is paused while a solver is built and then left as the caller
-had it.
+:meth:`CdclSolver.solve` without searching.
 """
 
 from __future__ import annotations
 
-import gc
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -105,18 +102,6 @@ class CdclSolver:
         phases: Mapping[int, int] | None = None,
         deadline: float | None = None,
     ):
-        # construction allocates one list per literal and per clause, and
-        # none of it is garbage: the cyclic collector those allocations
-        # would trigger over every live object stays paused until it ends
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            self._build(clauses, var_count, seed, max_learnts, phases, deadline)
-        finally:
-            if collecting:
-                gc.enable()
-
-    def _build(self, clauses, var_count, seed, max_learnts, phases, deadline) -> None:
         self.n = var_count
         n1 = var_count + 1
         self.val = [-1] * (2 * var_count + 1)  # by signed literal

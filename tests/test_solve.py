@@ -1,4 +1,3 @@
-import gc
 import random
 import sys
 import time
@@ -190,44 +189,6 @@ def test_construction_after_the_deadline_times_out():
     assert res.status == TIMEOUT
     assert res.model is None
     assert res.stats.conflicts == 0
-
-
-_BUILD_EXITS = {
-    "built": lambda: CdclSolver([[1, 2], [-1, 2]], 2),
-    "deadline": lambda: CdclSolver([[1, 2]], 2, deadline=time.monotonic() - 1.0),
-    "empty clause": lambda: CdclSolver([[1, 2], []], 2),
-    "bad phase": lambda: CdclSolver([[1, 2]], 2, phases={3: 1}),
-}
-
-
-@pytest.mark.parametrize("exit_path", sorted(_BUILD_EXITS))
-@pytest.mark.parametrize("collecting", [True, False])
-def test_construction_pauses_the_collector_and_restores_it(
-    monkeypatch, exit_path, collecting
-):
-    build = CdclSolver._build
-    seen = []
-
-    def watched(self, *args):
-        seen.append(gc.isenabled())
-        return build(self, *args)
-
-    monkeypatch.setattr(CdclSolver, "_build", watched)
-    was = gc.isenabled()
-    (gc.enable if collecting else gc.disable)()
-    try:
-        try:
-            solver = _BUILD_EXITS[exit_path]()
-        except ValueError:
-            assert exit_path == "bad phase"
-        else:
-            status = solver.solve(10).status
-            expected = {"built": SAT, "deadline": TIMEOUT, "empty clause": UNSAT}
-            assert status == expected[exit_path]
-        assert gc.isenabled() == collecting
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert seen == [False]
 
 
 def test_budget_exhaustion_times_out():
