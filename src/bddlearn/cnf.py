@@ -139,9 +139,7 @@ def exactly_one(formula: Formula, lits: Iterable[int]) -> None:
 
 def literal_count(formula: Formula) -> int:
     """Total number of literals over all hard and soft clauses."""
-    total = sum(len(c) for c in formula.hard)
-    total += sum(len(c) for c, _ in formula.soft)
-    return total
+    return sum(map(len, formula.hard)) + sum(len(c) for c, _ in formula.soft)
 
 
 def lit_true(lit: int, assignment: Mapping[int, int]) -> bool:
@@ -207,14 +205,34 @@ def soft_unit_repair(
 # DIMACS
 
 
+# clauses per write, which bounds the text held at once
+_EMIT_CHUNK = 4096
+
+
+class _LiteralNames(dict):
+    """``str(lit)`` for every literal, built once for ``-n..n``."""
+
+    def __init__(self, n: int):
+        super().__init__((lit, str(lit)) for lit in range(-n, n + 1))
+
+    def __missing__(self, lit: int) -> str:
+        return str(lit)
+
+
+def _write_clause_lines(out: TextIO, lines: Iterable[str]) -> None:
+    """Write each line followed by `` 0`` and a newline, one chunk per write."""
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, _EMIT_CHUNK)):
+        out.write(" 0\n".join(chunk) + " 0\n")
+
+
 def emit_dimacs_cnf(formula: Formula, out: TextIO) -> None:
     """Write ``formula`` in DIMACS CNF format; rejects soft clauses."""
     if formula.soft:
         raise FormulaError("formula has soft clauses; emit WCNF instead")
     out.write(f"p cnf {formula.var_count} {len(formula.hard)}\n")
-    for clause in formula.hard:
-        out.write(" ".join(map(str, clause)))
-        out.write(" 0\n")
+    name = _LiteralNames(formula.var_count).__getitem__
+    _write_clause_lines(out, (" ".join(map(name, c)) for c in formula.hard))
 
 
 def emit_dimacs_wcnf(formula: Formula, out: TextIO) -> None:
@@ -225,10 +243,15 @@ def emit_dimacs_wcnf(formula: Formula, out: TextIO) -> None:
     top = 1 + sum(w for _, w in formula.soft)
     n_clauses = len(formula.hard) + len(formula.soft)
     out.write(f"p wcnf {formula.var_count} {n_clauses} {top}\n")
-    for clause in formula.hard:
-        out.write(f"{top} " + " ".join(map(str, clause)) + " 0\n")
-    for clause, weight in formula.soft:
-        out.write(f"{weight} " + " ".join(map(str, clause)) + " 0\n")
+    name = _LiteralNames(formula.var_count).__getitem__
+    hard = f"{top} "
+    _write_clause_lines(
+        out,
+        itertools.chain(
+            (hard + " ".join(map(name, c)) for c in formula.hard),
+            (f"{w} " + " ".join(map(name, c)) for c, w in formula.soft),
+        ),
+    )
 
 
 def dimacs_cnf(formula: Formula) -> str:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Iterable, Sequence
 
@@ -45,6 +46,10 @@ class Dataset:
     table as ``(source column, indicator value)`` pairs so a test set can
     be bound to the same feature space later; it is empty for datasets
     built directly from bits.
+
+    ``column_bits`` and ``label_bits`` hold the same matrix as Python-int
+    bitsets, row ``q`` at bit ``q``.  They are computed on first use and
+    cached on the instance; they take no part in equality.
     """
 
     features: tuple[tuple[int, ...], ...]
@@ -75,6 +80,18 @@ class Dataset:
     def k(self) -> int:
         return len(self.feature_names)
 
+    @cached_property
+    def column_bits(self) -> tuple[int, ...]:
+        """Per feature, the bitset of the rows where it is 1."""
+        if not self.features:
+            return (0,) * self.k
+        return tuple(_bits(column) for column in zip(*self.features))
+
+    @cached_property
+    def label_bits(self) -> int:
+        """The bitset of the rows labelled 1."""
+        return _bits(self.labels)
+
     def subset(self, indices: Iterable[int]) -> "Dataset":
         idx = list(indices)
         return Dataset(
@@ -96,6 +113,11 @@ class Dataset:
             if self.feature_specs
             else (),
         )
+
+
+def _bits(values: Sequence[int]) -> int:
+    # row q is bit q, so the first row is the last digit
+    return int("0" + "".join(map(str, values))[::-1], 2)
 
 
 def dataset_from_bits(
@@ -121,18 +143,18 @@ def cell_counts(dataset: Dataset, ordering: Sequence[int]) -> tuple[tuple[int, i
     features spell in binary, the first feature being the most significant
     bit; there are ``2 ** len(ordering)`` cells.
     """
-    n_cells = 1 << len(ordering)
-    pos = [0] * n_cells
-    neg = [0] * n_cells
-    for row, label in zip(dataset.features, dataset.labels):
-        idx = 0
-        for feature in ordering:
-            idx = (idx << 1) | row[feature]
-        if label:
-            pos[idx] += 1
-        else:
-            neg[idx] += 1
-    return tuple(zip(pos, neg))
+    cells = [(1 << dataset.m) - 1]  # row bitsets, split once per feature
+    columns = dataset.column_bits
+    for feature in ordering:
+        on = columns[feature]
+        off = ~on
+        cells = [half for cell in cells for half in (cell & off, cell & on)]
+    labels = dataset.label_bits
+    counts = []
+    for cell in cells:
+        pos = (cell & labels).bit_count()
+        counts.append((pos, cell.bit_count() - pos))
+    return tuple(counts)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 ``learn`` wires the full path together: optional greedy feature
 preselection, encoding, solving (embedded or external) and model
 decoding.  On the embedded path a greedy classifier that errs on no
-example answers without a solver, so SAT-mode ``learn``, ``min_depth``
-and SAT-mode cross-validation may return a different perfect ordering
-and table than the solver would; MaxSAT costs are unchanged.
+example answers without a solver, and in SAT mode so does the first
+perfect feature subset that ``perfect_subset`` finds, so SAT-mode
+``learn``, ``min_depth`` and SAT-mode cross-validation may return a
+different perfect ordering and table than the solver would; MaxSAT costs
+are unchanged.
 ``model_from_table`` is the one way from a decoded ordering
 and truth table to a model: unknown-cell marking, the configured
 generalization bias, the diagram and the training accuracy.
@@ -19,7 +21,8 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from math import comb
+from typing import Callable, Sequence
 
 from . import cnf, encode, postprocess, solve
 from .bdd import (
@@ -201,6 +204,63 @@ def greedy_seed(dataset: Dataset, depth: int) -> GreedySeed:
     return GreedySeed(ordering, TruthTable("".join(cells)), cost)
 
 
+# learn runs perfect_subset only when its walk has at most this many
+# feature subsets, C(k, depth), to visit
+EXACT_SUBSET_CAP = 50_000
+
+
+def perfect_subset(
+    dataset: Dataset, depth: int, tick: Callable[[], object] = lambda: None
+) -> GreedySeed | None:
+    """A classifier of ``depth`` that errs on no example, or ``None`` if none exists.
+
+    Feature subsets are walked depth-first in increasing index order, the
+    cells of a prefix extended by one AND of the row bitsets per cell and
+    feature; only cells holding both labels are carried down, so a subset
+    is perfect when none is left.  The first perfect subset is returned:
+    each cell takes its label, an empty cell 0, the root is the first
+    feature of the subset the table depends on (so the table is a bead)
+    and the tail is sorted.  ``tick`` is called before each feature is
+    tried, so it can stop the walk by raising.  Needs ``dataset.k >= depth``
+    and both labels present.
+    """
+    columns, labels, k = dataset.column_bits, dataset.label_bits, dataset.k
+
+    def walk(prefix: tuple[int, ...], mixed: list[int]) -> tuple[int, ...] | None:
+        if len(prefix) == depth:
+            return None if mixed else prefix
+        for r in range(prefix[-1] + 1 if prefix else 0, k - depth + len(prefix) + 1):
+            tick()
+            on = columns[r]
+            off = ~on
+            split = [
+                half
+                for cell in mixed
+                for half in (cell & off, cell & on)
+                if half & labels not in (0, half)
+            ]
+            found = walk(prefix + (r,), split)
+            if found is not None:
+                return found
+        return None
+
+    def table(ordering: tuple[int, ...]) -> str:
+        return "".join("1" if pos else "0" for pos, _ in cell_counts(dataset, ordering))
+
+    subset = walk((), [(1 << dataset.m) - 1])
+    if subset is None:
+        return None
+    cells = table(subset)
+    half = len(cells) // 2  # the cell-index bit of the subset's first feature
+    root = next(
+        r
+        for i, r in enumerate(subset)
+        if any(c != cells[j ^ (half >> i)] for j, c in enumerate(cells))
+    )
+    ordering = (root,) + tuple(r for r in subset if r != root)
+    return GreedySeed(ordering, TruthTable(table(ordering)), 0)
+
+
 def training_accuracy(counts, table: TruthTable) -> float:
     """Share of the examples counted per cell as ``(pos, neg)`` that ``table`` predicts."""
     cells = table.cells
@@ -301,11 +361,15 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     touching a solver.  The budget runs from the call on.  The embedded
     solver is preceded by a greedy classifier: when it errs on no example
     it is a perfect, hence optimal, model, and it is returned, re-checked
-    row by row, without building a solver.  SAT mode may therefore return
-    a different perfect ordering and table than the solver would.
-    Otherwise the greedy classifier starts the MaxSAT descent, and it comes
-    back as a non-optimal model when the solver finds none within the
-    budget.
+    row by row, without building a solver.  When it errs in SAT mode and
+    there are at most ``EXACT_SUBSET_CAP`` feature subsets of the depth,
+    :func:`perfect_subset` looks for a perfect classifier among all of
+    them, and one it finds is checked and returned the same way.  SAT mode
+    may therefore return a different perfect ordering and table than the
+    solver would.  UNSAT always comes from the solver; a solver model after
+    a subset search that found none is an internal error.  In MaxSAT mode
+    the greedy classifier starts the descent, and it comes back as a
+    non-optimal model when the solver finds none within the budget.
     """
     deadline = time.monotonic() + cfg.budget
 
@@ -351,17 +415,27 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
             solver_stats=stats,
         )
 
-    greedy = None
+    greedy = witness = None
+    no_perfect_subset = False  # the subset search ran to its end without a hit
     if not cfg.solver_cmd and work.k >= cfg.depth:
         greedy = greedy_seed(work, cfg.depth)
+        witness = greedy if greedy.cost == 0 else None
     remaining()  # raises once the budget is spent, witness or not
-    if greedy is not None and greedy.cost == 0:
-        _check_witness(work, greedy, cfg.depth)
-        extra = {"seed_cost": 0}
+    if (
+        witness is None
+        and greedy is not None
+        and cfg.mode == MODE_SAT
+        and comb(work.k, cfg.depth) <= EXACT_SUBSET_CAP
+    ):
+        witness = perfect_subset(work, cfg.depth, remaining)
+        no_perfect_subset = witness is None
+    if witness is not None:
+        _check_witness(work, witness, cfg.depth)
+        extra = {"seed_cost": greedy.cost}
         if cfg.mode == MODE_MAXSAT:
             extra = {"cost": 0, "iterations": 0, "seed_cost": 0}
         stats = _stats_dict(solve.SatStats(), extra)
-        return build(greedy.ordering, greedy.table, True, stats)
+        return build(witness.ordering, witness.table, True, stats)
 
     # the embedded MaxSAT descent starts from the greedy classifier, and its
     # bounded calls look at tail-sorted orderings only
@@ -392,6 +466,11 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
         if result.status == solve.UNSAT:
             raise DepthInsufficientError(
                 f"depth {cfg.depth} insufficient for perfect classification"
+            )
+        if no_perfect_subset:
+            raise RuntimeError(
+                "internal error: the solver found a perfect classifier "
+                "that the subset search missed"
             )
         model = result.model
         optimal = True
@@ -436,8 +515,10 @@ def min_depth(
     until the boundary is bracketed; ``strategy="binary"`` bisects
     instead.  Consistent data is always separable at depth K, so the walk
     terminates.  Single-class data short-circuits to the constant model.
-    A SAT probe whose greedy classifier is already perfect returns that
-    classifier (see :func:`learn`); UNSAT answers come from the solver.
+    A SAT probe answers with its greedy classifier when that is perfect,
+    else, under the subset cap, with the first perfect feature subset (see
+    :func:`learn`).  UNSAT answers, and so the ``unsat_depth`` certificate,
+    come from the solver.
     """
     if h0 < 1:
         raise ValueError("h0 must be >= 1")

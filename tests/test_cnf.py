@@ -1,9 +1,12 @@
+import io
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddlearn import cnf
-from oracles import projected_models
+from oracles import projected_models, random_formula
 
 
 def test_fresh_var_counts_up():
@@ -182,6 +185,49 @@ def test_emit_dimacs_wcnf_all_hard():
 
 def test_emit_dimacs_wcnf_empty():
     assert cnf.dimacs_wcnf(cnf.Formula(3)) == "p wcnf 3 0 1\n"
+
+
+def _line_by_line_cnf(formula: cnf.Formula) -> str:
+    out = io.StringIO()
+    out.write(f"p cnf {formula.var_count} {len(formula.hard)}\n")
+    for clause in formula.hard:
+        out.write(" ".join(map(str, clause)))
+        out.write(" 0\n")
+    return out.getvalue()
+
+
+def _line_by_line_wcnf(formula: cnf.Formula) -> str:
+    top = 1 + sum(w for _, w in formula.soft)
+    n_clauses = len(formula.hard) + len(formula.soft)
+    out = io.StringIO()
+    out.write(f"p wcnf {formula.var_count} {n_clauses} {top}\n")
+    for clause in formula.hard:
+        out.write(f"{top} " + " ".join(map(str, clause)) + " 0\n")
+    for clause, weight in formula.soft:
+        out.write(f"{weight} " + " ".join(map(str, clause)) + " 0\n")
+    return out.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 40), st.integers(1, 5))
+def test_emission_matches_a_line_by_line_writer(seed, n_soft, chunk):
+    # the reference writers are the emitters as they were before chunking
+    rng = random.Random(seed)
+    clauses, n = random_formula(rng)
+    hard = cnf.Formula(n)
+    for clause in clauses:
+        hard.add_hard(clause)
+    weighted = hard.copy()
+    for clause, _ in zip(clauses, range(n_soft)):
+        weighted.add_soft(clause, rng.randint(1, 9))
+    expected = (_line_by_line_cnf(hard), _line_by_line_wcnf(weighted))
+    default = cnf._EMIT_CHUNK
+    try:
+        for size in (chunk, default):  # many chunks, then one
+            cnf._EMIT_CHUNK = size
+            assert (cnf.dimacs_cnf(hard), cnf.dimacs_wcnf(weighted)) == expected
+    finally:
+        cnf._EMIT_CHUNK = default
 
 
 def test_parse_model_signed_dialect():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bddlearn.data import (
     DataError,
@@ -252,3 +254,29 @@ def test_cell_counts_match_oracle_routing():
 
 def test_cell_counts_empty_ordering_is_one_cell(demo8):
     assert cell_counts(demo8, ()) == ((3, 5),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 30), st.data())
+def test_cell_counts_stay_right_on_derived_datasets(k, m, data):
+    # the bitsets are cached per instance: a dataset made by subset() or
+    # restrict_features() from one whose bitsets were read routes anew
+    bit = st.integers(0, 1)
+    rows = data.draw(st.lists(st.tuples(*[bit] * k), min_size=m, max_size=m))
+    labels = data.draw(st.lists(bit, min_size=m, max_size=m))
+    ds = dataset_from_bits(rows, labels, [f"f{r}" for r in range(k)])
+    parents = (ds, ds.restrict_features(range(k)[::-1]))
+    derived = list(parents)
+    for parent in parents:
+        assert len(parent.column_bits) == parent.k  # fills the caches first
+        assert parent.label_bits.bit_count() == sum(parent.labels)
+        picked = data.draw(st.lists(st.integers(0, max(m - 1, 0)), max_size=m))
+        derived.append(parent.subset(picked if m else []))
+        kept = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k))
+        derived.append(parent.restrict_features(kept))
+    for d in derived:
+        ordering = tuple(
+            data.draw(st.permutations(range(d.k)))[: data.draw(st.integers(0, 3))]
+        )
+        pos, neg = route_counts(d, ordering, 1 << len(ordering))
+        assert cell_counts(d, ordering) == tuple(zip(pos, neg))

@@ -421,12 +421,7 @@ def test_a_perfect_seed_is_returned_without_a_solver(monkeypatch, demo8, mode):
         assert stats["cost"] == stats["iterations"] == 0
 
 
-@pytest.mark.parametrize("mode", ["sat", "maxsat"])
-def test_the_solver_still_runs_when_the_seed_errs(monkeypatch, mode):
-    # on f1 xor f2 every single feature errs on half the rows, so the
-    # greedy classifier opens with f0 and errs on four rows at depth 2
-    ds = cube_dataset(lambda r: r[1] ^ r[2])
-    assert greedy_seed(ds, 2).cost == 4
+def _count_solvers(monkeypatch) -> list:
     built = []
     for owner in (solve.cdcl, solve.maxsat):
         cls = owner.CdclSolver
@@ -436,6 +431,17 @@ def test_the_solver_still_runs_when_the_seed_errs(monkeypatch, mode):
             return _cls(*args, **kwargs)
 
         monkeypatch.setattr(owner, "CdclSolver", counted)
+    return built
+
+
+# SAT mode: test_the_subset_search_answers_when_the_seed_errs
+@pytest.mark.parametrize("mode", ["maxsat"])
+def test_the_solver_still_runs_when_the_seed_errs(monkeypatch, mode):
+    # on f1 xor f2 every single feature errs on half the rows, so the
+    # greedy classifier opens with f0 and errs on four rows at depth 2
+    ds = cube_dataset(lambda r: r[1] ^ r[2])
+    assert greedy_seed(ds, 2).cost == 4
+    built = _count_solvers(monkeypatch)
     model = learn(ds, LearnConfig(depth=2, mode=mode, budget=60))
     assert built
     assert model.optimal
@@ -493,28 +499,6 @@ def test_maxsat_witness_matches_the_solver_on_separable_data(monkeypatch):
     assert witnessed >= 3
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 24), st.data())
-def test_sat_learn_is_perfect_exactly_when_the_oracle_errs_nowhere(depth, k, m, data):
-    bit = st.integers(0, 1)
-    rows = data.draw(st.lists(st.tuples(*[bit] * k), min_size=m, max_size=m))
-    truth = {row: data.draw(bit) for row in sorted(set(rows))}
-    labels = [truth[row] for row in rows]
-    assume(len(set(labels)) == 2)
-    ds = dataset_from_bits(rows, labels)
-    cfg = LearnConfig(depth=depth, mode="sat", budget=60)
-    if best_split_error(ds, depth) == 0:
-        model = learn(ds, cfg)
-        assert model.optimal
-        assert all(
-            classify_table(model.table, model.ordering, row) == label
-            for row, label in zip(ds.features, ds.labels)
-        )
-    else:
-        with pytest.raises(DepthInsufficientError):
-            learn(ds, cfg)
-
-
 @pytest.mark.parametrize(
     "mode, encoder", [("sat", "encode_bdd2"), ("maxsat", "encode_maxsat")]
 )
@@ -531,3 +515,131 @@ def test_the_budget_runs_from_the_call(monkeypatch, demo8, mode, encoder):
     _no_solver(monkeypatch)
     with pytest.raises(SolverTimeoutError):
         learn(demo8, LearnConfig(depth=2, mode=mode, budget=0.03))
+
+
+def test_the_subset_search_answers_when_the_seed_errs(monkeypatch):
+    # the greedy classifier errs on f1 xor f2; the subset search finds
+    # {f1, f2}, roots it at f1, and no solver is built
+    ds = cube_dataset(lambda r: r[1] ^ r[2])
+    assert greedy_seed(ds, 2).cost == 4
+    _no_solver(monkeypatch)
+    model = learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
+    assert model.optimal
+    assert model.train_accuracy == 1.0
+    assert (model.ordering, model.table.cells) == ((1, 2), "0110")
+    assert model.solver_stats["seed_cost"] == 4
+    assert model.solver_stats["conflicts"] == 0
+
+
+def test_with_no_perfect_subset_the_solver_proves_unsat(monkeypatch):
+    # parity of three features: no two of them classify it
+    ds = cube_dataset(lambda r: r[0] ^ r[1] ^ r[2])
+    searched = []
+    search_fn = search.perfect_subset
+
+    def recorded(*args):
+        searched.append(search_fn(*args))
+        return searched[-1]
+
+    monkeypatch.setattr(search, "perfect_subset", recorded)
+    built = _count_solvers(monkeypatch)
+    with pytest.raises(DepthInsufficientError):
+        learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
+    assert searched == [None]
+    assert built
+
+
+def test_a_sat_answer_after_a_complete_search_is_an_internal_error(monkeypatch):
+    # f1 xor f2 is separable at depth 2; a search that reports none left
+    # the solver to find the model it missed
+    ds = cube_dataset(lambda r: r[1] ^ r[2])
+    monkeypatch.setattr(search, "perfect_subset", lambda *args: None)
+    with pytest.raises(RuntimeError, match="internal error"):
+        learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
+
+
+def test_above_the_cap_no_subset_search_runs(monkeypatch):
+    ds = cube_dataset(lambda r: r[1] ^ r[2])  # C(3, 2) = 3 subsets
+
+    def refuse(*args):
+        raise AssertionError("the subset search ran")
+
+    monkeypatch.setattr(search, "perfect_subset", refuse)
+    monkeypatch.setattr(search, "EXACT_SUBSET_CAP", 2)
+    built = _count_solvers(monkeypatch)
+    model = learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
+    assert built
+    assert model.train_accuracy == 1.0
+    monkeypatch.setattr(search, "EXACT_SUBSET_CAP", 3)
+    with pytest.raises(AssertionError, match="subset search ran"):
+        learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
+
+
+def test_a_budget_spent_inside_the_subset_search_times_out(monkeypatch):
+    # each step of the walk takes 0.1 s; {f1, f2} is reached only after
+    # the prefix f0 and its two extensions, past the 0.25 s budget
+    ds = cube_dataset(lambda r: r[1] ^ r[2])
+    search_fn = search.perfect_subset
+
+    def slow(dataset, depth, tick):
+        def slow_tick():
+            time.sleep(0.1)
+            tick()
+
+        return search_fn(dataset, depth, slow_tick)
+
+    monkeypatch.setattr(search, "perfect_subset", slow)
+    _no_solver(monkeypatch)
+    with pytest.raises(SolverTimeoutError):
+        learn(ds, LearnConfig(depth=2, mode="sat", budget=0.25))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 60), st.booleans(), st.data())
+def test_sat_learn_is_perfect_exactly_when_the_oracle_errs_nowhere(
+    k, m, planted, data
+):
+    # labels follow a rule on at most three features, or are random per
+    # distinct row; SAT-mode learn is perfect at H exactly when the oracle
+    # errs nowhere at H, and min_depth is the smallest such H
+    bit = st.integers(0, 1)
+    rows = data.draw(st.lists(st.tuples(*[bit] * k), min_size=m, max_size=m))
+    if planted:
+        feats = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3))
+        n_cells = 1 << len(feats)
+        rule = data.draw(st.lists(bit, min_size=n_cells, max_size=n_cells))
+        labels = [rule[int("".join(str(row[f]) for f in feats), 2)] for row in rows]
+    else:
+        truth = {row: data.draw(bit) for row in sorted(set(rows))}
+        labels = [truth[row] for row in rows]
+    assume(len(set(labels)) == 2)
+    ds = dataset_from_bits(rows, labels)
+    separable = []
+    for depth in range(1, min(k, 3) + 1):
+        cfg = LearnConfig(depth=depth, mode="sat", budget=60)
+        if best_split_error(ds, depth) == 0:
+            separable.append(depth)
+            model = learn(ds, cfg)
+            assert model.optimal
+            assert all(
+                classify_table(model.table, model.ordering, row) == label
+                for row, label in zip(ds.features, ds.labels)
+            )
+        else:
+            with pytest.raises(DepthInsufficientError):
+                learn(ds, cfg)
+    if separable:
+        result = min_depth(ds, data.draw(st.integers(1, 3)), budget=60)
+        assert result.depth == separable[0]
+        assert result.depth == 1 or result.unsat_depth == result.depth - 1
+
+
+def test_perfect_subset_roots_at_a_feature_the_table_reads():
+    # labels are f2: the first perfect subset is {f0, f2}, whose table
+    # ignores f0, so f2 becomes the root and f0 the tail
+    found = search.perfect_subset(cube_dataset(lambda r: r[2]), 2)
+    assert (found.ordering, found.table.cells, found.cost) == ((2, 0), "0011", 0)
+    rows = [tuple((a >> s) & 1 for s in range(4)) for a in range(16)]
+    found = search.perfect_subset(dataset_from_bits(rows, [r[3] for r in rows]), 3)
+    assert found.ordering == (3, 0, 1)  # a sorted tail
+    assert search.perfect_subset(cube_dataset(lambda r: r[0] ^ r[1] ^ r[2]), 2) is None
