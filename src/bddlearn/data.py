@@ -283,23 +283,6 @@ def bind_like(
     )
 
 
-def split_holdout(dataset: Dataset, ratio: float, seed: int) -> Split:
-    """Deterministic train/test split with ``round(ratio * M)`` train rows."""
-    if not 0.0 < ratio < 1.0:
-        raise DataError(f"ratio {ratio} outside (0,1)")
-    m = dataset.m
-    n_train = int(ratio * m + 0.5)
-    if n_train < 1 or n_train >= m:
-        raise DataError(f"ratio {ratio} leaves an empty train or test set")
-    order = list(range(m))
-    Random(seed).shuffle(order)
-    return Split(
-        train=tuple(sorted(order[:n_train])),
-        test=tuple(sorted(order[n_train:])),
-        seed=seed,
-    )
-
-
 def kfold(dataset: Dataset, k: int, seed: int) -> list[Split]:
     """k deterministic folds whose test sets partition the example indices."""
     m = dataset.m

@@ -243,6 +243,33 @@ def encode_bdd2(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingCont
     return formula, ctx
 
 
+def bdd2_literal_count(dataset: Dataset, depth: int) -> int:
+    """``cnf.literal_count(encode_bdd2(dataset, depth)[0])`` without the formula.
+
+    Runs the depth and consistency checks of :func:`encode_bdd2` first,
+    raising the same errors in the same order.  The count sums the
+    clause families term by term: a sequential at-most-one over ``n``
+    literals has ``6n - 4`` (none for ``n <= 1``), the bead constraint
+    twelve per cell pair plus its covering clause, each feature-value
+    link two, and each classification clause ``depth + 1``.
+    """
+    _check_depth(depth)
+    _require_consistent(dataset)
+    k, m = dataset.k, dataset.m
+
+    def at_most_one(n: int) -> int:
+        return 6 * n - 4 if n > 1 else 0
+
+    half = 1 << (depth - 1)
+    return (
+        k * at_most_one(depth)
+        + depth * (k + at_most_one(k))
+        + 13 * half
+        + 2 * k * m * depth
+        + m * (2 * half) * (depth + 1)
+    )
+
+
 def encode_maxsat(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingContext]:
     """Partial MaxSAT lift of the improved encoding.
 

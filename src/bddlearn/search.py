@@ -7,7 +7,8 @@ example answers without a solver, and in SAT mode so does the first
 perfect feature subset that ``perfect_subset`` finds, so SAT-mode
 ``learn``, ``min_depth`` and SAT-mode cross-validation may return a
 different perfect ordering and table than the solver would; MaxSAT costs
-are unchanged.
+are unchanged.  When no subset is perfect, the solver proves UNSAT on
+the few rows of the walk's core instead of the whole dataset.
 ``model_from_table`` is the one way from a decoded ordering
 and truth table to a model: unknown-cell marking, the configured
 generalization bias, the diagram and the training accuracy.
@@ -211,8 +212,8 @@ EXACT_SUBSET_CAP = 50_000
 
 def perfect_subset(
     dataset: Dataset, depth: int, tick: Callable[[], object] = lambda: None
-) -> GreedySeed | None:
-    """A classifier of ``depth`` that errs on no example, or ``None`` if none exists.
+) -> GreedySeed | tuple[int, ...]:
+    """A classifier of ``depth`` that errs on no example or, if none exists, a row core.
 
     Feature subsets are walked depth-first in increasing index order, the
     cells of a prefix extended by one AND of the row bitsets per cell and
@@ -220,15 +221,34 @@ def perfect_subset(
     is perfect when none is left.  The first perfect subset is returned:
     each cell takes its label, an empty cell 0, the root is the first
     feature of the subset the table depends on (so the table is a bead)
-    and the tail is sorted.  ``tick`` is called before each feature is
-    tried, so it can stop the walk by raising.  Needs ``dataset.k >= depth``
-    and both labels present.
+    and the tail is sorted.
+
+    Every subset the walk leaves mixed gets a witness pair in the core: if
+    none of its mixed cells already holds core rows of both labels, the
+    lowest positive and the lowest negative row of its first mixed cell
+    join the core.  When no subset is perfect, the walk returns the
+    core's sorted row indices, at most ``2 * C(k, depth)`` of them.  No
+    subset classifies the core rows alone, so the ``encode_bdd2`` formula
+    of the core is unsatisfiable, and with it the full formula, whose
+    clauses include the core's up to a renaming of the ``d`` variables
+    (the example-subset argument of Avellaneda, AAAI 2020).
+
+    ``tick`` is called before each feature is tried, so it can stop the
+    walk by raising.  Needs ``dataset.k >= depth`` and both labels present.
     """
     columns, labels, k = dataset.column_bits, dataset.label_bits, dataset.k
+    core = 0  # bitset of the core rows
 
     def walk(prefix: tuple[int, ...], mixed: list[int]) -> tuple[int, ...] | None:
+        nonlocal core
         if len(prefix) == depth:
-            return None if mixed else prefix
+            if not mixed:
+                return prefix
+            held = (cell & core for cell in mixed)
+            if all(rows & labels in (0, rows) for rows in held):
+                pos, neg = mixed[0] & labels, mixed[0] & ~labels
+                core |= pos & -pos | neg & -neg
+            return None
         for r in range(prefix[-1] + 1 if prefix else 0, k - depth + len(prefix) + 1):
             tick()
             on = columns[r]
@@ -249,7 +269,7 @@ def perfect_subset(
 
     subset = walk((), [(1 << dataset.m) - 1])
     if subset is None:
-        return None
+        return tuple(q for q in range(dataset.m) if core >> q & 1)
     cells = table(subset)
     half = len(cells) // 2  # the cell-index bit of the subset's first feature
     root = next(
@@ -366,10 +386,15 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     :func:`perfect_subset` looks for a perfect classifier among all of
     them, and one it finds is checked and returned the same way.  SAT mode
     may therefore return a different perfect ordering and table than the
-    solver would.  UNSAT always comes from the solver; a solver model after
-    a subset search that found none is an internal error.  In MaxSAT mode
-    the greedy classifier starts the descent, and it comes back as a
-    non-optimal model when the solver finds none within the budget.
+    solver would.  On that path no formula is built before the walk: the
+    checks of ``encode_bdd2`` run on their own and ``literal_count`` comes
+    from :func:`encode.bdd2_literal_count`.  When the walk finds no
+    perfect subset, the solver refutes the ``encode_bdd2`` formula of the
+    walk's row core, whose UNSAT implies the full formula's, so UNSAT
+    always comes from the solver; a solver model of the core formula is an
+    internal error.  In MaxSAT mode the greedy classifier starts the
+    descent, and it comes back as a non-optimal model when the solver
+    finds none within the budget.
     """
     deadline = time.monotonic() + cfg.budget
 
@@ -396,11 +421,23 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
             work = dataset.restrict_features(selected)
             feature_map = selected
 
-    if cfg.mode == MODE_SAT:
-        formula, ctx = encode.encode_bdd2(work, cfg.depth)
+    embedded = not cfg.solver_cmd and work.k >= cfg.depth
+    # SAT mode under the cap answers from the subset walk: a witness, or an
+    # UNSAT proof on the walk's row core, so the full formula is never built
+    exact = (
+        embedded
+        and cfg.mode == MODE_SAT
+        and comb(work.k, cfg.depth) <= EXACT_SUBSET_CAP
+    )
+    if exact:
+        formula = ctx = None  # built on the core rows if the walk finds no witness
+        lits = encode.bdd2_literal_count(work, cfg.depth)
     else:
-        formula, ctx = encode.encode_maxsat(work, cfg.depth)
-    lits = cnf.literal_count(formula)
+        if cfg.mode == MODE_SAT:
+            formula, ctx = encode.encode_bdd2(work, cfg.depth)
+        else:
+            formula, ctx = encode.encode_maxsat(work, cfg.depth)
+        lits = cnf.literal_count(formula)
 
     def build(positions, table, optimal: bool, stats: dict) -> LearnedModel:
         return model_from_table(
@@ -415,20 +452,18 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
             solver_stats=stats,
         )
 
-    greedy = witness = None
-    no_perfect_subset = False  # the subset search ran to its end without a hit
-    if not cfg.solver_cmd and work.k >= cfg.depth:
+    greedy = witness = core = None
+    if embedded:
         greedy = greedy_seed(work, cfg.depth)
         witness = greedy if greedy.cost == 0 else None
     remaining()  # raises once the budget is spent, witness or not
-    if (
-        witness is None
-        and greedy is not None
-        and cfg.mode == MODE_SAT
-        and comb(work.k, cfg.depth) <= EXACT_SUBSET_CAP
-    ):
-        witness = perfect_subset(work, cfg.depth, remaining)
-        no_perfect_subset = witness is None
+    if exact and witness is None:
+        found = perfect_subset(work, cfg.depth, remaining)
+        if isinstance(found, GreedySeed):
+            witness = found
+        else:
+            core = found
+            formula, ctx = encode.encode_bdd2(work.subset(core), cfg.depth)
     if witness is not None:
         _check_witness(work, witness, cfg.depth)
         extra = {"seed_cost": greedy.cost}
@@ -467,7 +502,7 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
             raise DepthInsufficientError(
                 f"depth {cfg.depth} insufficient for perfect classification"
             )
-        if no_perfect_subset:
+        if core is not None:
             raise RuntimeError(
                 "internal error: the solver found a perfect classifier "
                 "that the subset search missed"
@@ -518,7 +553,8 @@ def min_depth(
     A SAT probe answers with its greedy classifier when that is perfect,
     else, under the subset cap, with the first perfect feature subset (see
     :func:`learn`).  UNSAT answers, and so the ``unsat_depth`` certificate,
-    come from the solver.
+    come from the solver: under the cap it refutes the formula of the
+    subset walk's row core, whose UNSAT implies that of the whole dataset.
     """
     if h0 < 1:
         raise ValueError("h0 must be >= 1")

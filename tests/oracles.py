@@ -51,25 +51,40 @@ def enumerate_sat(clauses, n: int) -> dict[int, int] | None:
     return {v: (a >> (v - 1)) & 1 for v in range(1, n + 1)}
 
 
-def projected_models(clauses, n: int, onto: list[int]) -> set[tuple[int, ...]]:
-    """All assignments of ``onto`` extendable to a model of ``clauses``."""
-    total = 1 << n
-    full = (1 << total) - 1
-    masks = _var_masks(n)
-    sat_mask = full
-    for clause in clauses:
-        clause_mask = 0
-        for lit in clause:
-            column = masks[abs(lit) - 1]
-            clause_mask |= column if lit > 0 else (full & ~column)
-        sat_mask &= clause_mask
+def _assign(clauses, lit: int):
+    """``clauses`` with ``lit`` made true: satisfied clauses go, ``-lit`` is struck."""
+    return [[x for x in clause if x != -lit] for clause in clauses if lit not in clause]
+
+
+def _dpll(clauses) -> bool:
+    """Satisfiability by unit propagation and branching on a clause's first literal."""
+    while True:
+        if not clauses:
+            return True
+        if not all(clauses):
+            return False
+        unit = next((clause[0] for clause in clauses if len(clause) == 1), None)
+        if unit is None:
+            break
+        clauses = _assign(clauses, unit)
+    lit = clauses[0][0]
+    return _dpll(_assign(clauses, lit)) or _dpll(_assign(clauses, -lit))
+
+
+def projected_models(clauses, onto: list[int]) -> set[tuple[int, ...]]:
+    """All assignments of ``onto`` extendable to a model of ``clauses``.
+
+    Each of the ``2**len(onto)`` assignments is fixed in turn and
+    :func:`_dpll` decides whether the rest of the variables can follow.
+    """
     out = set()
-    a = 0
-    mask = sat_mask
-    while mask:
-        low = (mask & -mask).bit_length() - 1
-        out.add(tuple((low >> (v - 1)) & 1 for v in onto))
-        mask &= mask - 1
+    for a in range(1 << len(onto)):
+        bits = tuple((a >> i) & 1 for i in range(len(onto)))
+        rest = clauses
+        for v, bit in zip(onto, bits):
+            rest = _assign(rest, v if bit else -v)
+        if _dpll(rest):
+            out.add(bits)
     return out
 
 

@@ -48,7 +48,7 @@ def test_add_hard_clauses_names_a_bad_literal_and_adds_nothing(bad):
 
 
 def _all_models(formula, onto):
-    return projected_models(formula.hard, formula.var_count, onto)
+    return projected_models(formula.hard, onto)
 
 
 def test_at_most_one_excludes_pairs():

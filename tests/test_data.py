@@ -15,7 +15,6 @@ from bddlearn.data import (
     kfold,
     load_csv,
     one_hot_binarize,
-    split_holdout,
 )
 from oracles import random_dataset, route_counts
 
@@ -162,24 +161,6 @@ def test_bind_like_matches_training_encoding(tmp_path):
             ds.feature_specs,
             ds.label_names,
         )
-
-
-def test_split_holdout_sizes_and_determinism(demo8):
-    split = split_holdout(demo8, 0.25, seed=1)
-    assert len(split.train) == 2
-    assert len(split.test) == 6
-    assert split == split_holdout(demo8, 0.25, seed=1)
-    assert set(split.train) | set(split.test) == set(range(8))
-    assert set(split.train) & set(split.test) == set()
-
-
-def test_split_holdout_ratio_validation(demo8):
-    with pytest.raises(DataError):
-        split_holdout(demo8, 0.0, seed=1)
-    with pytest.raises(DataError):
-        split_holdout(demo8, 1.0, seed=1)
-    with pytest.raises(DataError):
-        split_holdout(demo8, 0.01, seed=1)  # empty train set
 
 
 def test_kfold_partitions():

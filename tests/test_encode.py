@@ -370,3 +370,27 @@ def test_feature_value_links_name_a_literal_outside_the_formula(demo8):
     _, ctx = encode._new_context(demo8, 2, encode.BDD2)
     with pytest.raises(cnf.FormulaError, match="literal -1 outside"):
         encode._feature_value_links(cnf.Formula(), ctx, demo8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 60), st.integers(1, 4), st.data())
+def test_bdd2_literal_count_matches_the_built_formula(k, m, depth, data):
+    # labels are a function of the row, so the data is consistent
+    bit = st.integers(0, 1)
+    rows = data.draw(st.lists(st.tuples(*[bit] * k), min_size=m, max_size=m))
+    truth = {row: data.draw(bit) for row in sorted(set(rows))}
+    ds = dataset_from_bits(rows, [truth[row] for row in rows])
+    formula, _ = encode_bdd2(ds, depth)
+    assert encode.bdd2_literal_count(ds, depth) == cnf.literal_count(formula)
+
+
+def test_bdd2_literal_count_runs_the_encoder_checks_in_order():
+    inconsistent = dataset_from_bits([(1, 0), (1, 0)], [0, 1])
+    for depth, message in [
+        (0, "depth must be >= 1"),  # the depth is checked first
+        (17, "exceeds the supported maximum"),
+        (1, "inconsistent"),
+    ]:
+        for count in (encode.bdd2_literal_count, encode_bdd2):
+            with pytest.raises(ValueError, match=message):
+                count(inconsistent, depth)

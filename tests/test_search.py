@@ -1,5 +1,6 @@
 import random
 import time
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -500,18 +501,20 @@ def test_maxsat_witness_matches_the_solver_on_separable_data(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "mode, encoder", [("sat", "encode_bdd2"), ("maxsat", "encode_maxsat")]
+    "mode, step", [("sat", "check_consistency"), ("maxsat", "encode_maxsat")]
 )
-def test_the_budget_runs_from_the_call(monkeypatch, demo8, mode, encoder):
+def test_the_budget_runs_from_the_call(monkeypatch, demo8, mode, step):
     # demo8's seed is perfect at depth 2, so only the budget stops the
-    # witness after an encoding that outlasts it
-    encode_fn = getattr(search.encode, encoder)
+    # witness after a step before it that outlasts the budget: the
+    # encoder's consistency check (SAT mode builds no formula before the
+    # witness) or the MaxSAT encoding
+    step_fn = getattr(search.encode, step)
 
-    def slow_encode(dataset, depth):
+    def slow_step(*args):
         time.sleep(0.06)
-        return encode_fn(dataset, depth)
+        return step_fn(*args)
 
-    monkeypatch.setattr(search.encode, encoder, slow_encode)
+    monkeypatch.setattr(search.encode, step, slow_step)
     _no_solver(monkeypatch)
     with pytest.raises(SolverTimeoutError):
         learn(demo8, LearnConfig(depth=2, mode=mode, budget=0.03))
@@ -545,15 +548,15 @@ def test_with_no_perfect_subset_the_solver_proves_unsat(monkeypatch):
     built = _count_solvers(monkeypatch)
     with pytest.raises(DepthInsufficientError):
         learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
-    assert searched == [None]
+    assert searched == [(0, 1, 2, 4)]  # the walk's row core
     assert built
 
 
 def test_a_sat_answer_after_a_complete_search_is_an_internal_error(monkeypatch):
-    # f1 xor f2 is separable at depth 2; a search that reports none left
-    # the solver to find the model it missed
+    # f1 xor f2 is separable at depth 2; a search that reports none, with
+    # every row as its core, left the solver to find the model it missed
     ds = cube_dataset(lambda r: r[1] ^ r[2])
-    monkeypatch.setattr(search, "perfect_subset", lambda *args: None)
+    monkeypatch.setattr(search, "perfect_subset", lambda *args: tuple(range(ds.m)))
     with pytest.raises(RuntimeError, match="internal error"):
         learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
 
@@ -642,4 +645,58 @@ def test_perfect_subset_roots_at_a_feature_the_table_reads():
     rows = [tuple((a >> s) & 1 for s in range(4)) for a in range(16)]
     found = search.perfect_subset(dataset_from_bits(rows, [r[3] for r in rows]), 3)
     assert found.ordering == (3, 0, 1)  # a sorted tail
-    assert search.perfect_subset(cube_dataset(lambda r: r[0] ^ r[1] ^ r[2]), 2) is None
+
+
+def test_with_no_perfect_subset_the_walk_returns_a_row_core():
+    # parity of three features: {f0, f1} pairs rows 0 and 1, {f0, f2} rows
+    # 0 and 2, and {f1, f2} finds row 0 with no core partner, so adds 4
+    ds = cube_dataset(lambda r: r[0] ^ r[1] ^ r[2])
+    assert search.perfect_subset(ds, 2) == (0, 1, 2, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7), st.integers(2, 40), st.integers(1, 3), st.data())
+def test_a_row_core_admits_no_perfect_classifier(k, m, depth, data):
+    # labels are a function of the row; whenever the walk finds no perfect
+    # subset, the core rows alone already defeat every subset
+    assume(depth <= k)
+    bit = st.integers(0, 1)
+    rows = data.draw(st.lists(st.tuples(*[bit] * k), min_size=m, max_size=m))
+    truth = {row: data.draw(bit) for row in sorted(set(rows))}
+    ds = dataset_from_bits(rows, [truth[row] for row in rows])
+    assume(len(set(ds.labels)) == 2)
+    found = search.perfect_subset(ds, depth)
+    if isinstance(found, search.GreedySeed):
+        assert best_split_error(ds, depth) == 0
+        return
+    assert list(found) == sorted(set(found))
+    assert 2 <= len(found) <= 2 * comb(k, depth)
+    assert best_split_error(ds.subset(found), depth) > 0
+
+
+def test_the_certificate_refutes_the_core_rows_only(monkeypatch):
+    # no single feature classifies this data; the solver's UNSAT answer is
+    # on a formula with d variables for the core rows and no others
+    ds = random_dataset(random.Random(4), k=6, m=40, consistent=True)
+    core = search.perfect_subset(ds, 1)
+    assert len(core) < ds.m
+    encoded, answers = [], []
+    encode_fn, solve_fn = search.encode.encode_bdd2, search.solve.sat_solve
+
+    def recorded_encode(dataset, depth):
+        encoded.append((dataset, *encode_fn(dataset, depth)))
+        return encoded[-1][1:]
+
+    def recorded_solve(formula, **kwargs):
+        answers.append(solve_fn(formula, **kwargs))
+        return answers[-1]
+
+    monkeypatch.setattr(search.encode, "encode_bdd2", recorded_encode)
+    monkeypatch.setattr(search.solve, "sat_solve", recorded_solve)
+    with pytest.raises(DepthInsufficientError):
+        learn(ds, LearnConfig(depth=1, mode="sat", budget=60))
+    [(dataset, _, ctx)] = encoded
+    assert dataset == ds.subset(core)
+    assert ctx.n_examples == len(core)
+    assert [len(row) for row in ctx.d] == [len(core)]
+    assert [answer.status for answer in answers] == [solve.UNSAT]
