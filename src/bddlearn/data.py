@@ -48,8 +48,9 @@ class Dataset:
     built directly from bits.
 
     ``column_bits`` and ``label_bits`` hold the same matrix as Python-int
-    bitsets, row ``q`` at bit ``q``.  They are computed on first use and
-    cached on the instance; they take no part in equality.
+    bitsets, row ``q`` at bit ``q``.  They and ``conflict_groups`` are
+    computed on first use and cached on the instance; they take no part
+    in equality.
     """
 
     features: tuple[tuple[int, ...], ...]
@@ -91,6 +92,19 @@ class Dataset:
     def label_bits(self) -> int:
         """The bitset of the rows labelled 1."""
         return _bits(self.labels)
+
+    @cached_property
+    def conflict_groups(self) -> tuple[tuple[int, ...], ...]:
+        """Groups of examples sharing a feature vector but carrying both
+        labels, each sorted, in order of their first example."""
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for q, row in enumerate(self.features):
+            groups.setdefault(row, []).append(q)
+        return tuple(
+            tuple(indices)
+            for indices in groups.values()
+            if len({self.labels[q] for q in indices}) == 2
+        )
 
     def subset(self, indices: Iterable[int]) -> "Dataset":
         idx = list(indices)
@@ -305,15 +319,8 @@ def kfold(dataset: Dataset, k: int, seed: int) -> list[Split]:
 def check_consistency(dataset: Dataset) -> list[list[int]]:
     """Groups of examples sharing a feature vector but carrying both labels.
 
-    An empty result means feature vector -> label is a function.
+    An empty result means feature vector -> label is a function.  The
+    groups are computed once per dataset (:attr:`Dataset.conflict_groups`);
+    every call returns fresh lists.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for q, row in enumerate(dataset.features):
-        groups.setdefault(row, []).append(q)
-    conflicts = []
-    for indices in groups.values():
-        labels = {dataset.labels[q] for q in indices}
-        if len(labels) == 2:
-            conflicts.append(sorted(indices))
-    conflicts.sort(key=lambda g: g[0])
-    return conflicts
+    return [list(group) for group in dataset.conflict_groups]

@@ -316,25 +316,6 @@ def ordered_tail(ctx: EncodingContext) -> list[list[int]]:
     ]
 
 
-def model_phases(
-    ctx: EncodingContext, ordering: tuple[int, ...], table: TruthTable
-) -> dict[int, int]:
-    """Values of the ``a`` and ``c`` variables that spell ``ordering`` and ``table``.
-
-    The inverse of :func:`decode` on those two families, for loading a
-    known classifier into a solver as its first polarities.
-    """
-    if len(ordering) != ctx.depth or len(table.cells) != len(ctx.c):
-        raise ValueError("ordering and table do not match the context's depth")
-    phases = {
-        ctx.a[r][i]: int(ordering[i] == r)
-        for r in range(ctx.n_features)
-        for i in range(ctx.depth)
-    }
-    phases.update((v, int(ch)) for v, ch in zip(ctx.c, table.cells))
-    return phases
-
-
 def decode(
     model: Mapping[int, int], ctx: EncodingContext
 ) -> tuple[tuple[int, ...], TruthTable]:

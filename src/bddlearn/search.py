@@ -356,18 +356,18 @@ def _stats_dict(stats: solve.SatStats, extra: dict | None = None) -> dict:
 
 def _check_witness(dataset: Dataset, seed: GreedySeed, depth: int) -> None:
     """Raise unless ``seed`` orders ``depth`` distinct features of
-    ``dataset`` over a bead that classifies every example right, checked
-    row by row."""
+    ``dataset`` over a bead that errs on exactly ``seed.cost`` examples,
+    counted row by row."""
     ordering, cells = seed.ordering, seed.table.cells
     if not (
         len(ordering) == depth == len(set(ordering))
         and all(0 <= r < dataset.k for r in ordering)
         and len(cells) == 1 << depth
         and is_bead(cells)
-        and all(
-            classify_table(cells, ordering, row) == label
+        and sum(
+            classify_table(cells, ordering, row) != label
             for row, label in zip(dataset.features, dataset.labels)
-        )
+        ) == seed.cost
     ):
         raise RuntimeError("internal error: model fails hard-clause check")
 
@@ -392,9 +392,11 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     perfect subset, the solver refutes the ``encode_bdd2`` formula of the
     walk's row core, whose UNSAT implies the full formula's, so UNSAT
     always comes from the solver; a solver model of the core formula is an
-    internal error.  In MaxSAT mode the greedy classifier starts the
-    descent, and it comes back as a non-optimal model when the solver
-    finds none within the budget.
+    internal error.  In MaxSAT mode the descent starts below the greedy
+    classifier's cost.  When it finds no better model, the greedy
+    classifier is returned, its errors counted row by row against its
+    cost: optimal when the solver proved that nothing beats it, not
+    optimal when the budget ran out first.
     """
     deadline = time.monotonic() + cfg.budget
 
@@ -472,12 +474,11 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
         stats = _stats_dict(solve.SatStats(), extra)
         return build(witness.ordering, witness.table, True, stats)
 
-    # the embedded MaxSAT descent starts from the greedy classifier, and its
-    # bounded calls look at tail-sorted orderings only
-    phases, bounded = None, []
+    # the embedded MaxSAT descent looks below the greedy classifier's cost,
+    # at tail-sorted orderings only
+    upper, bounded = None, []
     if cfg.mode == MODE_MAXSAT and greedy is not None:
-        phases = encode.model_phases(ctx, greedy.ordering, greedy.table)
-        bounded = encode.ordered_tail(ctx)
+        upper, bounded = greedy.cost, encode.ordered_tail(ctx)
 
     if cfg.solver_cmd:
         with tempfile.TemporaryDirectory(prefix="bddlearn-") as workdir:
@@ -491,7 +492,7 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
             formula,
             budget=remaining(),
             seed=cfg.seed,
-            phases=phases,
+            upper=upper,
             bounded_clauses=bounded,
         )
     seed_cost = greedy.cost if greedy else None
@@ -512,17 +513,20 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
         stats = _stats_dict(result.stats, {"seed_cost": seed_cost})
     else:
         model, cost = result.model, result.cost
-        if result.status == solve.TIMEOUT_NO_SOLUTION:
+        if model is None:
             if greedy is None:
                 raise SolverTimeoutError(f"no model within {cfg.budget}s")
-            model, cost = phases, greedy.cost  # the seed is the anytime model
+            # nothing beat the seed: it is the optimum or the anytime model
+            _check_witness(work, greedy, cfg.depth)
+            cost = greedy.cost
         optimal = result.optimal
         stats = _stats_dict(result.stats, {
             "cost": cost,
             "iterations": result.iterations,
             "seed_cost": seed_cost,
         })
-
+    if model is None:
+        return build(greedy.ordering, greedy.table, optimal, stats)
     positions, table = encode.decode(model, ctx)
     return build(positions, table, optimal, stats)
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from operator import neg
 from random import Random
-from typing import Mapping
 
 from .. import cnf
 
@@ -99,7 +98,6 @@ class CdclSolver:
         var_count: int,
         seed: int = 0,
         max_learnts: int | None = None,
-        phases: Mapping[int, int] | None = None,
         deadline: float | None = None,
     ):
         self.n = var_count
@@ -108,12 +106,6 @@ class CdclSolver:
         self.level = [0] * n1
         self.reason = [-1] * n1
         self.saved = [0] * n1  # phase saving, default polarity 0
-        # ``phases`` are the first polarities tried: a full model of the
-        # clauses given here comes back from ``solve`` without a conflict
-        for v, value in (phases or {}).items():
-            if not 1 <= v <= var_count:
-                raise ValueError(f"phase for variable {v} outside 1..{var_count}")
-            self.saved[v] = 1 if value else 0
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0

@@ -3,23 +3,23 @@
 Every soft clause has a relaxation literal that is true when the clause
 may fail.  A soft unit ``[lit]`` needs no new variable: ``-lit`` is its
 relaxation literal.  A longer soft clause gets a fresh variable ``b`` and
-the hard clause ``clause | b``.  A first SAT call gives an upper bound on
-the number of falsified soft clauses, and the search then tightens a
-cardinality bound over the relaxation literals until an UNSAT answer
-proves optimality.  Before it is counted, every model has its falsified
-soft units made true wherever no clause breaks
+the hard clause ``clause | b``.  The search is one descent from an upper
+bound on the number of falsified soft clauses: each SAT call asks for a
+model that falsifies fewer than the best cost so far, through a
+cardinality bound over the relaxation literals, until an UNSAT answer
+proves optimality (model-improving linear search, as in QMaxSAT).  A
+caller that holds a model of known cost passes that cost as ``upper``,
+so the first call already asks for a better one; without it the first
+bound excludes nothing.  Before it is counted, every model has its
+falsified soft units made true wherever no clause breaks
 (:func:`bddlearn.cnf.soft_unit_repair`).  The bound after every model is
 the recomputed count of soft clauses the repaired model falsifies, which
 is tighter than the number of true relaxation literals whenever the
-solver set some of them gratuitously.  A caller that knows a good
-assignment passes it as ``phases``: the first SAT call tries those values
-first (solution-guided phasing), so its model, and with it the first
-bound, starts near the optimum and few bounded calls remain.  A caller
-that knows a symmetry of its problem passes ``bounded_clauses``: hard
-clauses that every bounded call gets and the first call does not.  They
-must keep some model of each cost, as the lex-leader clauses of
-:func:`bddlearn.encode.ordered_tail` do.  The UNSAT proof at the end then
-refutes one representative per symmetry class.  A bounded call whose
+solver set some of them gratuitously.  A caller that knows a symmetry of
+its problem passes ``bounded_clauses``: hard clauses that every call
+gets.  They must keep some model of each cost, as the lex-leader clauses
+of :func:`bddlearn.encode.ordered_tail` do.  The UNSAT proof at the end
+then refutes one representative per symmetry class.  A call whose
 cardinality network is finished only after the deadline gets no solver,
 and a solver whose construction runs past the deadline does not search.
 """
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .. import cnf
-from .cdcl import SAT, TIMEOUT, UNSAT, CdclSolver, SatStats
+from .cdcl import TIMEOUT, UNSAT, CdclSolver, SatStats
 
 OPTIMUM = "OPTIMUM"
 FEASIBLE = "FEASIBLE"
@@ -64,19 +64,20 @@ def maxsat_solve(
     formula: cnf.Formula,
     budget: float | None = 900.0,
     seed: int = 0,
-    phases: Mapping[int, int] | None = None,
+    upper: int | None = None,
     bounded_clauses: Sequence[list[int]] = (),
 ) -> MaxSatResult:
     """Minimize the falsified soft-clause weight of ``formula``.
 
-    Only unit soft weights are supported.  Raises :class:`SolverError`
-    when the hard clauses alone are unsatisfiable.  ``phases`` (variable
-    to value) are the polarities the first SAT call tries first, so a good
-    assignment there starts the descent near its end; the bounded calls
-    after it keep the solver's default polarities.  ``bounded_clauses``
-    are hard clauses added to every bounded call but not to the first;
-    whenever some model costs at most ``b``, one of the same cost must
-    satisfy them.
+    Only unit soft weights are supported.  ``upper`` is a cost the caller
+    already holds a model for; only a model of lower cost is searched for.
+    When none exists, or the budget runs out before one is found, the
+    result has no model: ``OPTIMUM`` once a call proved that nothing beats
+    ``upper``, ``TIMEOUT_NO_SOLUTION`` otherwise.  Without ``upper`` the
+    first bound excludes nothing, and its UNSAT answer raises
+    :class:`SolverError`: the hard clauses alone are unsatisfiable.
+    ``bounded_clauses`` are hard clauses added to every call; whenever
+    some model costs at most ``b``, one of the same cost must satisfy them.
     """
     if any(w != 1 for _, w in formula.soft):
         raise ValueError("maxsat_solve supports unit soft weights only")
@@ -92,23 +93,14 @@ def maxsat_solve(
     def expired() -> bool:
         return deadline is not None and time.monotonic() > deadline
 
-    def result(status: str, model, cost, optimal, iterations) -> MaxSatResult:
+    def result(proved: bool) -> MaxSatResult:
         stats.elapsed = time.monotonic() - start
-        return MaxSatResult(status, model, cost, optimal, stats, iterations)
-
-    def run_sat(work: cnf.Formula, phases=None) -> "object":
-        solver = CdclSolver(
-            work.hard, work.var_count, seed=seed, phases=phases, deadline=deadline
-        )
-        res = solver.solve(remaining())
-        _merge_stats(stats, res.stats)
-        if res.status == SAT:
-            assert res.model is not None
-            # the input clauses only: the cardinality network is the solver's
-            # concern, and the descent's cost check guards the bound
-            if not cnf.verify_model(relaxed, res.model):
-                raise RuntimeError("internal error: model fails hard-clause check")
-        return res
+        if proved:
+            status = OPTIMUM
+        else:
+            status = TIMEOUT_NO_SOLUTION if best_model is None else FEASIBLE
+        cost = None if best_model is None else best_cost
+        return MaxSatResult(status, best_model, cost, proved, stats, iterations)
 
     # the solver copies every clause it keeps, so the formulas below share
     # clause lists with ``formula`` instead of copying them
@@ -125,38 +117,44 @@ def maxsat_solve(
         relax.append(b)
     repair = cnf.soft_unit_repair(formula)
 
-    res = run_sat(relaxed, phases)
-    if res.status == TIMEOUT:
-        return result(TIMEOUT_NO_SOLUTION, None, None, False, 1)
-    if res.status == UNSAT:
-        raise SolverError("hard clauses are unsatisfiable")
-
     def restrict(model: dict[int, int]) -> dict[int, int]:
         # drop the auxiliary variables, then clear gratuitous soft failures
         return repair({v: model[v] for v in range(1, orig_vars + 1)})
 
-    best_model = restrict(res.model)
-    best_cost = cnf.falsified_soft_weight(formula, best_model)
-    iterations = 1
+    best_model: dict[int, int] | None = None
+    best_cost = len(relax) + 1 if upper is None else upper
+    iterations = 0
+
     while best_cost > 0:
         if expired():
-            return result(FEASIBLE, best_model, best_cost, False, iterations)
+            return result(False)
         # the relaxed base plus the current bound; stale looser bounds are
         # dropped, so iterations shrink as the bound tightens
         working = cnf.Formula(relaxed.var_count)
         working.hard = relaxed.hard + list(bounded_clauses)
-        cnf.at_most_k(working, relax, best_cost - 1)
-        if expired():  # the counter takes long to build at a large bound
-            return result(FEASIBLE, best_model, best_cost, False, iterations)
-        res = run_sat(working)
+        if best_cost <= len(relax):  # a bound of len(relax) excludes nothing
+            cnf.at_most_k(working, relax, best_cost - 1)
+            if expired():  # the counter takes long to build at a large bound
+                return result(False)
+        solver = CdclSolver(
+            working.hard, working.var_count, seed=seed, deadline=deadline
+        )
+        res = solver.solve(remaining())
+        _merge_stats(stats, res.stats)
         iterations += 1
         if res.status == TIMEOUT:
-            return result(FEASIBLE, best_model, best_cost, False, iterations)
+            return result(False)
         if res.status == UNSAT:
-            return result(OPTIMUM, best_model, best_cost, True, iterations)
+            if best_cost > len(relax):
+                raise SolverError("hard clauses are unsatisfiable")
+            return result(True)
+        # the input clauses only: the cardinality network is the solver's
+        # concern, and the cost check below guards the bound
+        if not cnf.verify_model(relaxed, res.model):
+            raise RuntimeError("internal error: model fails hard-clause check")
         model = restrict(res.model)
         cost = cnf.falsified_soft_weight(formula, model)
         if cost >= best_cost:
             raise RuntimeError("internal error: descent failed to lower the cost")
         best_model, best_cost = model, cost
-    return result(OPTIMUM, best_model, best_cost, True, iterations)
+    return result(True)

@@ -205,6 +205,16 @@ def test_check_consistency_allows_equal_duplicates():
     assert check_consistency(ds) == []
 
 
+def test_conflict_groups_are_computed_once_per_dataset():
+    ds = dataset_from_bits([(0, 0), (1, 0), (0, 0), (1, 0)], [1, 0, 0, 1])
+    assert ds.conflict_groups == ((0, 2), (1, 3))
+    assert ds.conflict_groups is ds.conflict_groups
+    first = check_consistency(ds)
+    first[0].append(9)  # every call gets its own lists
+    assert check_consistency(ds) == [[0, 2], [1, 3]]
+    assert ds == dataset_from_bits(ds.features, ds.labels)  # not in equality
+
+
 def test_dataset_validation():
     with pytest.raises(DataError):
         Dataset(features=((0, 1), (1,)), labels=(0, 1), feature_names=("a", "b"))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddlearn import cnf, encode
-from bddlearn.bdd import TruthTable, classify_table, is_bead
+from bddlearn.bdd import classify_table, is_bead
 from bddlearn.data import DataError, dataset_from_bits
 from bddlearn.encode import (
     DecodeError,
@@ -13,7 +13,6 @@ from bddlearn.encode import (
     encode_bdd1,
     encode_bdd2,
     encode_maxsat,
-    model_phases,
     ordered_tail,
     read_context,
     rel,
@@ -226,20 +225,6 @@ def test_soft_unit_repair_clears_gratuitous_errors():
     assert all(repaired[errors[q]] == 0 for q in right)
     assert cnf.falsified_soft_weight(formula, repaired) == sum(wrong)
     assert inflated[errors[right[0]]] == 1  # the input is left as it was
-
-
-def test_model_phases_round_trip_through_decode():
-    rng = random.Random(23)
-    for depth in (1, 2, 3):
-        ds = random_dataset(rng, k=5, m=10)
-        _, ctx = encode_maxsat(ds, depth)
-        ordering = tuple(rng.sample(range(5), depth))
-        table = TruthTable("".join(rng.choice("01") for _ in range(1 << depth)))
-        phases = model_phases(ctx, ordering, table)
-        assert set(phases) == {v for row in ctx.a for v in row} | set(ctx.c)
-        assert decode(phases, ctx) == (ordering, table)
-    with pytest.raises(ValueError):
-        model_phases(ctx, ordering[:-1], table)
 
 
 def test_ordered_tail_size_and_shape():

@@ -165,19 +165,60 @@ def test_learn_counts_the_seed_inside_the_budget(monkeypatch):
         learn(ds, LearnConfig(depth=2, mode="maxsat", budget=0.04))
 
 
-def test_learn_returns_the_seed_when_the_first_call_times_out(monkeypatch):
+def test_learn_returns_the_seed_when_the_budget_stops_the_descent(monkeypatch):
     ds = random_dataset(random.Random(23), k=6, m=30)
-
-    def first_call_times_out(formula, budget, **kwargs):
-        return solve.MaxSatResult(solve.TIMEOUT_NO_SOLUTION, None, None, False)
-
-    monkeypatch.setattr(search.solve, "maxsat_solve", first_call_times_out)
-    model = learn(ds, LearnConfig(depth=3, mode="maxsat", bias="S", budget=60))
     seed = greedy_seed(ds, 3)
+    descend = solve.maxsat_solve
+
+    def out_of_budget(formula, budget, **kwargs):
+        assert kwargs["upper"] == seed.cost
+        res = descend(formula, budget=-1.0, **kwargs)
+        assert res.status == solve.TIMEOUT_NO_SOLUTION and res.model is None
+        return res
+
+    monkeypatch.setattr(search.solve, "maxsat_solve", out_of_budget)
+    model = learn(ds, LearnConfig(depth=3, mode="maxsat", bias="S", budget=60))
     assert not model.optimal
     assert model.ordering == seed.ordering
     assert model.solver_stats["cost"] == seed.cost == model.solver_stats["seed_cost"]
     assert round((1 - model.train_accuracy) * ds.m) == seed.cost
+
+
+def _optimal_erring_seeds(rng, count):
+    """Datasets whose greedy classifier at depth 2 errs and is optimal."""
+    found = []
+    while len(found) < count:
+        ds = random_dataset(rng, k=4, m=12)
+        cost = greedy_seed(ds, 2).cost
+        if cost and cost == best_split_error(ds, 2):
+            found.append(ds)
+    return found
+
+
+def test_an_optimal_erring_seed_costs_one_sat_call(monkeypatch):
+    built = _count_solvers(monkeypatch)
+    for ds in _optimal_erring_seeds(random.Random(37), 3):
+        seed = greedy_seed(ds, 2)
+        built.clear()
+        model = learn(ds, LearnConfig(depth=2, mode="maxsat", budget=60))
+        assert model.optimal
+        assert model.solver_stats["iterations"] == 1 == len(built)
+        assert model.solver_stats["cost"] == seed.cost
+        assert model.ordering == seed.ordering
+
+
+def test_a_seed_that_misreports_its_cost_is_an_internal_error(monkeypatch):
+    # the seed's table errs on ``cost`` rows, the optimum; claiming one
+    # fewer, nothing beats the claim, and the row count catches it
+    for ds in _optimal_erring_seeds(random.Random(41), 2):
+        seed = greedy_seed(ds, 2)
+        lying = search.GreedySeed(seed.ordering, seed.table, seed.cost - 1)
+        with monkeypatch.context() as m:
+            m.setattr(search, "greedy_seed", lambda d, h: lying)
+            with pytest.raises(
+                RuntimeError, match="internal error: model fails hard-clause check"
+            ):
+                learn(ds, LearnConfig(depth=2, mode="maxsat", budget=60))
 
 
 def test_learn_short_budget_on_a_large_dataset_is_feasible():
@@ -192,13 +233,13 @@ def test_learn_short_budget_on_a_large_dataset_is_feasible():
 def test_learn_sorts_the_tail_of_descended_optima():
     rng = random.Random(31)
     descended = 0
-    for i in range(24):
+    for i in range(32):
         depth = 3 + i % 2
         ds = random_dataset(rng, k=rng.randint(depth, 6), m=rng.randint(10, 24))
         model = learn(ds, LearnConfig(depth=depth, mode="maxsat", budget=120))
         assert model.optimal
         assert model.solver_stats["cost"] == best_split_error(ds, depth)
-        if model.solver_stats["iterations"] > 2:  # a bounded call was SAT
+        if model.solver_stats["iterations"] > 1:  # a bounded call was SAT
             descended += 1
             tail = model.ordering[1:]
             assert all(x < y for x, y in zip(tail, tail[1:]))
@@ -473,8 +514,8 @@ def test_a_false_zero_cost_seed_is_an_internal_error(
 
 
 def test_maxsat_witness_matches_the_solver_on_separable_data(monkeypatch):
-    # with the seed's cost hidden, the descent starts from the same seed
-    # and the solver picks the model, as it did before the witness
+    # with the seed's cost hidden as 1, one SAT call under the bound 0
+    # finds a perfect model of its own; the witness skips that call
     rng = random.Random(5)
     witnessed = 0
     for i in range(12):
@@ -495,8 +536,11 @@ def test_maxsat_witness_matches_the_solver_on_separable_data(monkeypatch):
             m.setattr(search, "greedy_seed", lambda d, h: hidden)
             slow = learn(ds, cfg)
         assert fast.solver_stats["iterations"] == 0
-        assert slow.solver_stats["iterations"] > 0
-        assert (fast.ordering, fast.table) == (slow.ordering, slow.table)
+        assert fast.ordering == seed.ordering
+        assert slow.solver_stats["iterations"] == 1
+        for model in (fast, slow):
+            assert model.optimal and model.solver_stats["cost"] == 0
+            assert model.train_accuracy == 1.0
     assert witnessed >= 3
 
 

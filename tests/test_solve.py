@@ -255,68 +255,54 @@ def test_maxsat_cost_matches_model_recount():
         assert res.cost == best
 
 
-def test_full_model_phases_come_back_unchanged():
-    rng = random.Random(41)
-    checked = 0
-    while checked < 15:
-        clauses, n = random_formula(rng, max_vars=10, max_clauses=30)
-        models = [
-            {v: (a >> (v - 1)) & 1 for v in range(1, n + 1)}
-            for a in range(1 << n)
-            if all(
-                cnf.clause_satisfied(c, {v: (a >> (v - 1)) & 1 for v in range(1, n + 1)})
-                for c in clauses
-            )
-        ]
-        if len(models) < 2:
-            continue
-        default = CdclSolver(clauses, n).solve().model
-        # the model farthest from the unguided answer
-        target = max(models, key=lambda m: sum(m[v] != default[v] for v in m))
-        res = CdclSolver(clauses, n, phases=target).solve()
-        assert res.status == SAT
-        assert res.model == target
-        assert res.stats.conflicts == 0
-        checked += 1
-
-
-def test_phases_outside_the_variable_range_are_rejected():
-    with pytest.raises(ValueError):
-        CdclSolver([[1, 2]], 2, phases={3: 1})
-    with pytest.raises(ValueError):
-        CdclSolver([[1, 2]], 2, phases={0: 1})
-
-
-def test_maxsat_optimum_as_phases_needs_one_bounded_call():
+def test_an_optimal_upper_bound_needs_one_call():
+    # nothing beats the optimum, so the one call is the UNSAT proof
     rng = random.Random(13)
     for _ in range(3):
         formula, _ctx = encode_maxsat(random_dataset(rng, k=4, m=12), 2)
         plain = maxsat_solve(formula, budget=60)
         assert plain.status == OPTIMUM and plain.cost > 0
-        seeded = maxsat_solve(formula, budget=60, phases=plain.model)
-        assert seeded.status == OPTIMUM
-        assert seeded.iterations == 2  # the optimum, then the UNSAT proof
-        assert seeded.cost == plain.cost
-        assert seeded.model == plain.model
+        bounded = maxsat_solve(formula, budget=60, upper=plain.cost)
+        assert bounded.status == OPTIMUM and bounded.optimal
+        assert bounded.model is None and bounded.cost is None
+        assert bounded.iterations == 1
 
 
-def test_bounded_clauses_keep_a_first_call_optimum_unchanged():
-    # the first call does not get the tail order, so an optimum with an
-    # unsorted tail comes back as the first call found it
+def test_an_upper_bound_above_the_optimum_descends_to_it():
     rng = random.Random(17)
-    unsorted = 0
     for _ in range(3):
         formula, ctx = encode_maxsat(random_dataset(rng, k=5, m=16), 3)
-        plain = maxsat_solve(formula, budget=60)
-        seeded = maxsat_solve(
-            formula, budget=60, phases=plain.model, bounded_clauses=ordered_tail(ctx)
+        opt = maxsat_solve(formula, budget=60).cost
+        res = maxsat_solve(
+            formula, budget=60, upper=opt + 1, bounded_clauses=ordered_tail(ctx)
         )
-        assert seeded.status == OPTIMUM
-        assert seeded.iterations == 2
-        assert seeded.model == plain.model
-        tail = decode(plain.model, ctx)[0][1:]
-        unsorted += tail != tuple(sorted(tail))
-    assert unsorted >= 1
+        assert res.status == OPTIMUM and res.cost == opt
+        assert res.iterations == 2  # a model of cost opt, then the proof
+        assert cnf.verify_model(formula, res.model)
+        assert cnf.falsified_soft_weight(formula, res.model) == opt
+        tail = decode(res.model, ctx)[0][1:]
+        assert tail == tuple(sorted(tail))  # every call gets the tail order
+
+
+def test_a_budget_stop_under_an_upper_bound_has_no_model():
+    # every assignment falsifies a clause of the unsatisfiable pigeonhole
+    # formula, so beating cost 1 means refuting it: the budget ends first
+    f = _pigeonhole(9)
+    relaxed = cnf.Formula(f.var_count)
+    for clause in f.hard:
+        relaxed.add_soft(clause)
+    res = maxsat_solve(relaxed, budget=0.05, upper=1)
+    assert res.status == TIMEOUT_NO_SOLUTION
+    assert res.model is None and res.cost is None
+    assert not res.optimal
+
+
+def test_unsatisfiable_hard_clauses_raise_under_a_bound_that_excludes_nothing():
+    f = _formula([[1], [-1]], 1)
+    f.add_soft([1])
+    for upper in (None, 2):  # with one soft clause, 2 excludes nothing either
+        with pytest.raises(SolverError):
+            maxsat_solve(f, budget=5, upper=upper)
 
 
 def test_no_solver_is_built_after_the_deadline(monkeypatch):
