@@ -3,12 +3,14 @@
 ``learn`` wires the full path together: optional greedy feature
 preselection, encoding, solving (embedded or external) and model
 decoding.  On the embedded path a greedy classifier that errs on no
-example answers without a solver, and in SAT mode so does the first
-perfect feature subset that ``perfect_subset`` finds, so SAT-mode
-``learn``, ``min_depth`` and SAT-mode cross-validation may return a
-different perfect ordering and table than the solver would; MaxSAT costs
-are unchanged.  When no subset is perfect, the solver proves UNSAT on
-the few rows of the walk's core instead of the whole dataset.
+example answers without a solver, and so does the first perfect feature
+subset that ``best_subset`` finds, so ``learn``, ``min_depth`` and
+cross-validation may return a different perfect ordering and table than
+the solver would.  When no subset is perfect, SAT mode has the solver
+prove UNSAT on the few rows of the walk's core instead of the whole
+dataset, and MaxSAT mode takes the walk's least-error subset as the
+incumbent: the solver only has to prove it optimal, and a budget stop
+returns it, the optimum, as the anytime model.
 ``model_from_table`` is the one way from a decoded ordering
 and truth table to a model: unknown-cell marking, the configured
 generalization bias, the diagram and the training accuracy.
@@ -205,50 +207,84 @@ def greedy_seed(dataset: Dataset, depth: int) -> GreedySeed:
     return GreedySeed(ordering, TruthTable("".join(cells)), cost)
 
 
-# learn runs perfect_subset only when its walk has at most this many
-# feature subsets, C(k, depth), to visit
+# learn walks the feature subsets only when there are at most this many,
+# C(k, depth), to visit
 EXACT_SUBSET_CAP = 50_000
 
 
-def perfect_subset(
-    dataset: Dataset, depth: int, tick: Callable[[], object] = lambda: None
-) -> GreedySeed | tuple[int, ...]:
-    """A classifier of ``depth`` that errs on no example or, if none exists, a row core.
+def _majority_fill(counts) -> tuple[list[str], int]:
+    """Majority cells of per-cell ``(pos, neg)`` counts (0 on a tie), and their errors.
 
-    Feature subsets are walked depth-first in increasing index order, the
-    cells of a prefix extended by one AND of the row bitsets per cell and
-    feature; only cells holding both labels are carried down, so a subset
-    is perfect when none is left.  The first perfect subset is returned:
-    each cell takes its label, an empty cell 0, the root is the first
-    feature of the subset the table depends on (so the table is a bead)
-    and the tail is sorted.
+    A constant table is a bead under no root, so its cell with the
+    smallest ``|pos - neg|`` is flipped at that many extra errors.
+    """
+    cells = ["1" if pos > neg else "0" for pos, neg in counts]
+    errors = _majority_error(counts)
+    if len(set(cells)) == 1:
+        margins = [abs(pos - neg) for pos, neg in counts]
+        j = margins.index(min(margins))
+        cells[j] = "0" if cells[j] == "1" else "1"
+        errors += margins[j]
+    return cells, errors
+
+
+def best_subset(
+    dataset: Dataset, depth: int, tick: Callable[[], object] = lambda: None
+) -> tuple[GreedySeed, tuple[int, ...]]:
+    """The classifier of ``depth`` with the fewest training errors, and a row core.
+
+    The errors of a feature subset do not depend on the order of its
+    features: every cell takes its majority label, so the subset costs
+    ``min(pos, neg)`` summed over its cells, plus the cheapest flip when
+    that table is constant (no root split then gives a bead), the rule of
+    :func:`_majority_fill`.  Feature subsets are walked depth-first in
+    increasing index order, the cells of a prefix extended by one AND of
+    the row bitsets per cell and feature; only cells holding both labels
+    are carried down, since only they err.  The first subset of least
+    cost wins, and a perfect one, with no mixed cell left, stops the
+    walk.  The winner's table is its majority fill (an empty cell is 0);
+    the root is the first feature of the subset the table depends on (so
+    the table is a bead) and the tail is sorted.
 
     Every subset the walk leaves mixed gets a witness pair in the core: if
     none of its mixed cells already holds core rows of both labels, the
     lowest positive and the lowest negative row of its first mixed cell
     join the core.  When no subset is perfect, the walk returns the
-    core's sorted row indices, at most ``2 * C(k, depth)`` of them.  No
-    subset classifies the core rows alone, so the ``encode_bdd2`` formula
-    of the core is unsatisfiable, and with it the full formula, whose
-    clauses include the core's up to a renaming of the ``d`` variables
-    (the example-subset argument of Avellaneda, AAAI 2020).
+    core's sorted row indices, at most ``2 * C(k, depth)`` of them, next
+    to the least-error classifier; next to a perfect one, the empty tuple.
+    No subset classifies the core rows alone, so the ``encode_bdd2``
+    formula of the core is unsatisfiable, and with it the full formula,
+    whose clauses include the core's up to a renaming of the ``d``
+    variables (the example-subset argument of Avellaneda, AAAI 2020).
 
     ``tick`` is called before each feature is tried, so it can stop the
     walk by raising.  Needs ``dataset.k >= depth`` and both labels present.
     """
     columns, labels, k = dataset.column_bits, dataset.label_bits, dataset.k
     core = 0  # bitset of the core rows
+    best, least = None, dataset.m + 1  # the cheapest (subset, cells) so far, its cost
 
-    def walk(prefix: tuple[int, ...], mixed: list[int]) -> tuple[int, ...] | None:
-        nonlocal core
+    def walk(prefix: tuple[int, ...], mixed: list[int]) -> bool:
+        """Walk the subsets that extend ``prefix``; True once one is perfect."""
+        nonlocal core, best, least
         if len(prefix) == depth:
             if not mixed:
-                return prefix
+                cells = _majority_fill(cell_counts(dataset, prefix))[0]
+                best, least = (prefix, cells), 0
+                return True
             held = (cell & core for cell in mixed)
             if all(rows & labels in (0, rows) for rows in held):
                 pos, neg = mixed[0] & labels, mixed[0] & ~labels
                 core |= pos & -pos | neg & -neg
-            return None
+            errors = 0  # the mixed cells' errors: the cost without its flip
+            for cell in mixed:
+                pos = (cell & labels).bit_count()
+                errors += min(pos, cell.bit_count() - pos)
+            if errors < least:
+                cells, errors = _majority_fill(cell_counts(dataset, prefix))
+                if errors < least:
+                    best, least = (prefix, cells), errors
+            return False
         for r in range(prefix[-1] + 1 if prefix else 0, k - depth + len(prefix) + 1):
             tick()
             on = columns[r]
@@ -259,18 +295,12 @@ def perfect_subset(
                 for half in (cell & off, cell & on)
                 if half & labels not in (0, half)
             ]
-            found = walk(prefix + (r,), split)
-            if found is not None:
-                return found
-        return None
+            if walk(prefix + (r,), split):
+                return True
+        return False
 
-    def table(ordering: tuple[int, ...]) -> str:
-        return "".join("1" if pos else "0" for pos, _ in cell_counts(dataset, ordering))
-
-    subset = walk((), [(1 << dataset.m) - 1])
-    if subset is None:
-        return tuple(q for q in range(dataset.m) if core >> q & 1)
-    cells = table(subset)
+    walk((), [(1 << dataset.m) - 1])
+    subset, cells = best
     half = len(cells) // 2  # the cell-index bit of the subset's first feature
     root = next(
         r
@@ -278,7 +308,10 @@ def perfect_subset(
         if any(c != cells[j ^ (half >> i)] for j, c in enumerate(cells))
     )
     ordering = (root,) + tuple(r for r in subset if r != root)
-    return GreedySeed(ordering, TruthTable(table(ordering)), 0)
+    if root != subset[0]:  # the table reads only the tail: reorder its cells
+        cells = _majority_fill(cell_counts(dataset, ordering))[0]
+    rows = () if least == 0 else tuple(q for q in range(dataset.m) if core >> q & 1)
+    return GreedySeed(ordering, TruthTable("".join(cells)), least), rows
 
 
 def training_accuracy(counts, table: TruthTable) -> float:
@@ -381,22 +414,27 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     touching a solver.  The budget runs from the call on.  The embedded
     solver is preceded by a greedy classifier: when it errs on no example
     it is a perfect, hence optimal, model, and it is returned, re-checked
-    row by row, without building a solver.  When it errs in SAT mode and
-    there are at most ``EXACT_SUBSET_CAP`` feature subsets of the depth,
-    :func:`perfect_subset` looks for a perfect classifier among all of
-    them, and one it finds is checked and returned the same way.  SAT mode
-    may therefore return a different perfect ordering and table than the
-    solver would.  On that path no formula is built before the walk: the
+    row by row, without building a solver.  When it errs and there are at
+    most ``EXACT_SUBSET_CAP`` feature subsets of the depth,
+    :func:`best_subset` finds the least-error classifier among all of
+    them, and a perfect one is checked and returned the same way, so
+    ``learn`` may return a different perfect ordering and table than the
+    solver would.  In SAT mode no formula is built before the walk: the
     checks of ``encode_bdd2`` run on their own and ``literal_count`` comes
     from :func:`encode.bdd2_literal_count`.  When the walk finds no
     perfect subset, the solver refutes the ``encode_bdd2`` formula of the
     walk's row core, whose UNSAT implies the full formula's, so UNSAT
-    always comes from the solver; a solver model of the core formula is an
-    internal error.  In MaxSAT mode the descent starts below the greedy
-    classifier's cost.  When it finds no better model, the greedy
-    classifier is returned, its errors counted row by row against its
-    cost: optimal when the solver proved that nothing beats it, not
-    optimal when the budget ran out first.
+    always comes from the solver.  In MaxSAT mode the walk's classifier
+    becomes the incumbent when it errs less than the greedy one (a tie
+    keeps the greedy one), and the descent starts below the incumbent's
+    cost; under the cap that is the optimum, so the solver's one call is
+    the proof.  When it finds no better model, the incumbent is returned,
+    its errors counted row by row against its cost: optimal when the
+    solver proved that nothing beats it, not optimal when the budget ran
+    out first.  A budget that runs out inside the walk returns the greedy
+    classifier the same way, without a solver.  Under the cap, a solver
+    model, of the core formula or below the incumbent, is an internal
+    error.
     """
     deadline = time.monotonic() + cfg.budget
 
@@ -424,14 +462,12 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
             feature_map = selected
 
     embedded = not cfg.solver_cmd and work.k >= cfg.depth
-    # SAT mode under the cap answers from the subset walk: a witness, or an
-    # UNSAT proof on the walk's row core, so the full formula is never built
-    exact = (
-        embedded
-        and cfg.mode == MODE_SAT
-        and comb(work.k, cfg.depth) <= EXACT_SUBSET_CAP
-    )
-    if exact:
+    # under the cap the subset walk finds the least-error classifier: SAT
+    # mode answers from it (a witness, or an UNSAT proof on the walk's row
+    # core, so the full formula is never built), MaxSAT takes it as the
+    # incumbent the solver has only to prove optimal
+    exact = embedded and comb(work.k, cfg.depth) <= EXACT_SUBSET_CAP
+    if exact and cfg.mode == MODE_SAT:
         formula = ctx = None  # built on the core rows if the walk finds no witness
         lits = encode.bdd2_literal_count(work, cfg.depth)
     else:
@@ -454,31 +490,38 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
             solver_stats=stats,
         )
 
-    greedy = witness = core = None
+    def checked(seed: GreedySeed, optimal: bool, stats: dict) -> LearnedModel:
+        _check_witness(work, seed, cfg.depth)
+        return build(seed.ordering, seed.table, optimal, stats)
+
+    greedy = incumbent = None
     if embedded:
-        greedy = greedy_seed(work, cfg.depth)
-        witness = greedy if greedy.cost == 0 else None
+        greedy = incumbent = greedy_seed(work, cfg.depth)
     remaining()  # raises once the budget is spent, witness or not
-    if exact and witness is None:
-        found = perfect_subset(work, cfg.depth, remaining)
-        if isinstance(found, GreedySeed):
-            witness = found
-        else:
-            core = found
+    if exact and greedy.cost:
+        try:
+            best, core = best_subset(work, cfg.depth, remaining)
+        except SolverTimeoutError:
+            if cfg.mode == MODE_SAT:
+                raise
+            # the anytime floor: the greedy classifier, with no solver
+            extra = {"cost": greedy.cost, "iterations": 0, "seed_cost": greedy.cost}
+            return checked(greedy, False, _stats_dict(solve.SatStats(), extra))
+        if best.cost < greedy.cost:  # a tie keeps the greedy classifier
+            incumbent = best
+        if cfg.mode == MODE_SAT and best.cost:
             formula, ctx = encode.encode_bdd2(work.subset(core), cfg.depth)
-    if witness is not None:
-        _check_witness(work, witness, cfg.depth)
+    if incumbent is not None and incumbent.cost == 0:
         extra = {"seed_cost": greedy.cost}
         if cfg.mode == MODE_MAXSAT:
-            extra = {"cost": 0, "iterations": 0, "seed_cost": 0}
-        stats = _stats_dict(solve.SatStats(), extra)
-        return build(witness.ordering, witness.table, True, stats)
+            extra = {"cost": 0, "iterations": 0, **extra}
+        return checked(incumbent, True, _stats_dict(solve.SatStats(), extra))
 
-    # the embedded MaxSAT descent looks below the greedy classifier's cost,
-    # at tail-sorted orderings only
+    # the embedded MaxSAT descent looks below the incumbent's cost, at
+    # tail-sorted orderings only
     upper, bounded = None, []
-    if cfg.mode == MODE_MAXSAT and greedy is not None:
-        upper, bounded = greedy.cost, encode.ordered_tail(ctx)
+    if cfg.mode == MODE_MAXSAT and incumbent is not None:
+        upper, bounded = incumbent.cost, encode.ordered_tail(ctx)
 
     if cfg.solver_cmd:
         with tempfile.TemporaryDirectory(prefix="bddlearn-") as workdir:
@@ -495,6 +538,8 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
             upper=upper,
             bounded_clauses=bounded,
         )
+    if exact and result.model is not None:
+        raise RuntimeError("internal error: the solver beat the subset walk")
     seed_cost = greedy.cost if greedy else None
     if isinstance(result, solve.SatResult):
         if result.status == solve.TIMEOUT:
@@ -503,31 +548,21 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
             raise DepthInsufficientError(
                 f"depth {cfg.depth} insufficient for perfect classification"
             )
-        if core is not None:
-            raise RuntimeError(
-                "internal error: the solver found a perfect classifier "
-                "that the subset search missed"
-            )
-        model = result.model
         optimal = True
         stats = _stats_dict(result.stats, {"seed_cost": seed_cost})
     else:
-        model, cost = result.model, result.cost
-        if model is None:
-            if greedy is None:
-                raise SolverTimeoutError(f"no model within {cfg.budget}s")
-            # nothing beat the seed: it is the optimum or the anytime model
-            _check_witness(work, greedy, cfg.depth)
-            cost = greedy.cost
+        if result.model is None and incumbent is None:
+            raise SolverTimeoutError(f"no model within {cfg.budget}s")
         optimal = result.optimal
         stats = _stats_dict(result.stats, {
-            "cost": cost,
+            "cost": incumbent.cost if result.model is None else result.cost,
             "iterations": result.iterations,
             "seed_cost": seed_cost,
         })
-    if model is None:
-        return build(greedy.ordering, greedy.table, optimal, stats)
-    positions, table = encode.decode(model, ctx)
+    if result.model is None:
+        # nothing beat the incumbent: it is the optimum or the anytime model
+        return checked(incumbent, optimal, stats)
+    positions, table = encode.decode(result.model, ctx)
     return build(positions, table, optimal, stats)
 
 

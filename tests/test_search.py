@@ -166,6 +166,9 @@ def test_learn_counts_the_seed_inside_the_budget(monkeypatch):
 
 
 def test_learn_returns_the_seed_when_the_budget_stops_the_descent(monkeypatch):
+    # above the subset cap the descent starts at the seed's cost 7; the
+    # optimum is 5
+    monkeypatch.setattr(search, "EXACT_SUBSET_CAP", 0)
     ds = random_dataset(random.Random(23), k=6, m=30)
     seed = greedy_seed(ds, 3)
     descend = solve.maxsat_solve
@@ -230,7 +233,10 @@ def test_learn_short_budget_on_a_large_dataset_is_feasible():
     assert round((1 - model.train_accuracy) * ds.m) == cost
 
 
-def test_learn_sorts_the_tail_of_descended_optima():
+def test_learn_sorts_the_tail_of_descended_optima(monkeypatch):
+    # above the subset cap; under it the incumbent is the optimum and
+    # nothing descends
+    monkeypatch.setattr(search, "EXACT_SUBSET_CAP", 0)
     rng = random.Random(31)
     descended = 0
     for i in range(32):
@@ -244,6 +250,112 @@ def test_learn_sorts_the_tail_of_descended_optima():
             tail = model.ordering[1:]
             assert all(x < y for x, y in zip(tail, tail[1:]))
     assert descended >= 3
+
+
+def _suboptimal_seeds(rng, count, k, m, depth):
+    """Datasets whose greedy classifier errs more than the optimum."""
+    found = []
+    while len(found) < count:
+        ds = random_dataset(rng, k=k, m=m)
+        if greedy_seed(ds, depth).cost > best_split_error(ds, depth):
+            found.append(ds)
+    return found
+
+
+def test_under_the_cap_the_descent_starts_at_the_optimum(monkeypatch):
+    # the walk's optimum is the incumbent, so the one SAT call of the
+    # descent is the UNSAT proof below it
+    uppers = []
+    descend = solve.maxsat_solve
+
+    def recorded(formula, budget, **kwargs):
+        uppers.append(kwargs["upper"])
+        return descend(formula, budget, **kwargs)
+
+    monkeypatch.setattr(search.solve, "maxsat_solve", recorded)
+    built = _count_solvers(monkeypatch)
+    # the instance of the budget-stop test above: seed 7, optimum 5
+    instances = [(random_dataset(random.Random(23), k=6, m=30), 3)]
+    instances += [(ds, 2) for ds in _suboptimal_seeds(random.Random(31), 3, 6, 24, 2)]
+    for ds, depth in instances:
+        uppers.clear()
+        built.clear()
+        model = learn(ds, LearnConfig(depth=depth, mode="maxsat", budget=60))
+        best = best_split_error(ds, depth)
+        assert model.optimal
+        assert uppers == [best] == [model.solver_stats["cost"]]
+        assert model.solver_stats["iterations"] == 1 == len(built)
+        assert model.solver_stats["seed_cost"] > best
+        assert round((1 - model.train_accuracy) * ds.m) == best
+
+
+def test_a_budget_stop_returns_the_exact_optimum():
+    # the proof at (120, 16, 3) outlasts the budget; the model returned is
+    # the walk's optimum, five errors below the greedy classifier
+    ds = random_dataset(random.Random(1), k=16, m=120)
+    model = learn(ds, LearnConfig(depth=3, mode="maxsat", budget=2))
+    cost = model.solver_stats["cost"]
+    assert cost == best_split_error(ds, 3) == 35
+    assert model.solver_stats["seed_cost"] == greedy_seed(ds, 3).cost > cost
+    assert round((1 - model.train_accuracy) * ds.m) == cost
+
+
+def test_a_solver_model_below_the_walk_is_an_internal_error(monkeypatch):
+    # a walk that reports one error above the optimum leaves the solver a
+    # model below the incumbent, which an exact walk cannot
+    [ds] = _suboptimal_seeds(random.Random(37), 1, 6, 24, 2)
+    walk = search.best_subset
+
+    def off_by_one(*args):
+        best, core = walk(*args)
+        return search.GreedySeed(best.ordering, best.table, best.cost + 1), core
+
+    monkeypatch.setattr(search, "best_subset", off_by_one)
+    with pytest.raises(RuntimeError, match="the solver beat the subset walk"):
+        learn(ds, LearnConfig(depth=2, mode="maxsat", budget=60))
+
+
+def test_a_budget_spent_inside_the_walk_returns_the_greedy_classifier(monkeypatch):
+    # MaxSAT mode keeps an anytime model: the walk's tick raises after
+    # five features, and the greedy classifier comes back without a solver
+    ds = random_dataset(random.Random(1), k=16, m=120)
+    seed = greedy_seed(ds, 3)
+    walk = search.best_subset
+
+    def stopped(dataset, depth, tick):
+        ticks = []
+
+        def stop_tick():
+            ticks.append(1)
+            if len(ticks) > 5:
+                raise SolverTimeoutError("stopped in the walk")
+            tick()
+
+        return walk(dataset, depth, stop_tick)
+
+    monkeypatch.setattr(search, "best_subset", stopped)
+    _no_solver(monkeypatch)
+    model = learn(ds, LearnConfig(depth=3, mode="maxsat", budget=60))
+    assert not model.optimal
+    assert (model.ordering, model.table) == (seed.ordering, seed.table)
+    stats = model.solver_stats
+    assert stats["cost"] == stats["seed_cost"] == seed.cost
+    assert stats["iterations"] == 0
+    assert round((1 - model.train_accuracy) * ds.m) == seed.cost
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(2, 24), st.data())
+def test_the_walk_finds_the_oracle_optimum(depth, k, m, data):
+    k = max(k, depth)
+    bit = st.integers(0, 1)
+    rows = data.draw(st.lists(st.tuples(*[bit] * k), min_size=m, max_size=m))
+    labels = data.draw(st.lists(bit, min_size=m, max_size=m))
+    assume(len(set(labels)) == 2)
+    ds = dataset_from_bits(rows, labels)
+    best, _ = search.best_subset(ds, depth)
+    assert best.cost == best_split_error(ds, depth)
+    search._check_witness(ds, best, depth)  # distinct features, a bead, its cost
 
 
 def test_learn_reports_the_seed_cost():
@@ -480,7 +592,9 @@ def _count_solvers(monkeypatch) -> list:
 @pytest.mark.parametrize("mode", ["maxsat"])
 def test_the_solver_still_runs_when_the_seed_errs(monkeypatch, mode):
     # on f1 xor f2 every single feature errs on half the rows, so the
-    # greedy classifier opens with f0 and errs on four rows at depth 2
+    # greedy classifier opens with f0 and errs on four rows at depth 2;
+    # above the subset cap the solver descends from there
+    monkeypatch.setattr(search, "EXACT_SUBSET_CAP", 0)
     ds = cube_dataset(lambda r: r[1] ^ r[2])
     assert greedy_seed(ds, 2).cost == 4
     built = _count_solvers(monkeypatch)
@@ -514,8 +628,9 @@ def test_a_false_zero_cost_seed_is_an_internal_error(
 
 
 def test_maxsat_witness_matches_the_solver_on_separable_data(monkeypatch):
-    # with the seed's cost hidden as 1, one SAT call under the bound 0
-    # finds a perfect model of its own; the witness skips that call
+    # with the seed's cost hidden as 1 and the subset walk off, one SAT
+    # call under the bound 0 finds a perfect model of its own; the witness
+    # skips that call
     rng = random.Random(5)
     witnessed = 0
     for i in range(12):
@@ -534,6 +649,7 @@ def test_maxsat_witness_matches_the_solver_on_separable_data(monkeypatch):
         hidden = search.GreedySeed(seed.ordering, seed.table, 1)
         with monkeypatch.context() as m:
             m.setattr(search, "greedy_seed", lambda d, h: hidden)
+            m.setattr(search, "EXACT_SUBSET_CAP", 0)
             slow = learn(ds, cfg)
         assert fast.solver_stats["iterations"] == 0
         assert fast.ordering == seed.ordering
@@ -566,41 +682,45 @@ def test_the_budget_runs_from_the_call(monkeypatch, demo8, mode, step):
 
 def test_the_subset_search_answers_when_the_seed_errs(monkeypatch):
     # the greedy classifier errs on f1 xor f2; the subset search finds
-    # {f1, f2}, roots it at f1, and no solver is built
+    # {f1, f2}, roots it at f1, and no solver is built, in either mode
     ds = cube_dataset(lambda r: r[1] ^ r[2])
     assert greedy_seed(ds, 2).cost == 4
     _no_solver(monkeypatch)
-    model = learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
-    assert model.optimal
-    assert model.train_accuracy == 1.0
-    assert (model.ordering, model.table.cells) == ((1, 2), "0110")
-    assert model.solver_stats["seed_cost"] == 4
-    assert model.solver_stats["conflicts"] == 0
+    for mode in ("sat", "maxsat"):
+        model = learn(ds, LearnConfig(depth=2, mode=mode, budget=60))
+        assert model.optimal
+        assert model.train_accuracy == 1.0
+        assert (model.ordering, model.table.cells) == ((1, 2), "0110")
+        assert model.solver_stats["seed_cost"] == 4
+        assert model.solver_stats["conflicts"] == 0
+    assert model.solver_stats["cost"] == model.solver_stats["iterations"] == 0
 
 
 def test_with_no_perfect_subset_the_solver_proves_unsat(monkeypatch):
     # parity of three features: no two of them classify it
     ds = cube_dataset(lambda r: r[0] ^ r[1] ^ r[2])
     searched = []
-    search_fn = search.perfect_subset
+    search_fn = search.best_subset
 
     def recorded(*args):
         searched.append(search_fn(*args))
         return searched[-1]
 
-    monkeypatch.setattr(search, "perfect_subset", recorded)
+    monkeypatch.setattr(search, "best_subset", recorded)
     built = _count_solvers(monkeypatch)
     with pytest.raises(DepthInsufficientError):
         learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
-    assert searched == [(0, 1, 2, 4)]  # the walk's row core
+    assert [core for _, core in searched] == [(0, 1, 2, 4)]  # the walk's row core
     assert built
 
 
 def test_a_sat_answer_after_a_complete_search_is_an_internal_error(monkeypatch):
     # f1 xor f2 is separable at depth 2; a search that reports none, with
-    # every row as its core, left the solver to find the model it missed
+    # the greedy classifier as its best and every row as its core, left the
+    # solver to find the model it missed
     ds = cube_dataset(lambda r: r[1] ^ r[2])
-    monkeypatch.setattr(search, "perfect_subset", lambda *args: tuple(range(ds.m)))
+    erring = (greedy_seed(ds, 2), tuple(range(ds.m)))
+    monkeypatch.setattr(search, "best_subset", lambda *args: erring)
     with pytest.raises(RuntimeError, match="internal error"):
         learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
 
@@ -611,7 +731,7 @@ def test_above_the_cap_no_subset_search_runs(monkeypatch):
     def refuse(*args):
         raise AssertionError("the subset search ran")
 
-    monkeypatch.setattr(search, "perfect_subset", refuse)
+    monkeypatch.setattr(search, "best_subset", refuse)
     monkeypatch.setattr(search, "EXACT_SUBSET_CAP", 2)
     built = _count_solvers(monkeypatch)
     model = learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
@@ -626,7 +746,7 @@ def test_a_budget_spent_inside_the_subset_search_times_out(monkeypatch):
     # each step of the walk takes 0.1 s; {f1, f2} is reached only after
     # the prefix f0 and its two extensions, past the 0.25 s budget
     ds = cube_dataset(lambda r: r[1] ^ r[2])
-    search_fn = search.perfect_subset
+    search_fn = search.best_subset
 
     def slow(dataset, depth, tick):
         def slow_tick():
@@ -635,7 +755,7 @@ def test_a_budget_spent_inside_the_subset_search_times_out(monkeypatch):
 
         return search_fn(dataset, depth, slow_tick)
 
-    monkeypatch.setattr(search, "perfect_subset", slow)
+    monkeypatch.setattr(search, "best_subset", slow)
     _no_solver(monkeypatch)
     with pytest.raises(SolverTimeoutError):
         learn(ds, LearnConfig(depth=2, mode="sat", budget=0.25))
@@ -684,18 +804,22 @@ def test_sat_learn_is_perfect_exactly_when_the_oracle_errs_nowhere(
 def test_perfect_subset_roots_at_a_feature_the_table_reads():
     # labels are f2: the first perfect subset is {f0, f2}, whose table
     # ignores f0, so f2 becomes the root and f0 the tail
-    found = search.perfect_subset(cube_dataset(lambda r: r[2]), 2)
+    found, core = search.best_subset(cube_dataset(lambda r: r[2]), 2)
     assert (found.ordering, found.table.cells, found.cost) == ((2, 0), "0011", 0)
+    assert core == ()
     rows = [tuple((a >> s) & 1 for s in range(4)) for a in range(16)]
-    found = search.perfect_subset(dataset_from_bits(rows, [r[3] for r in rows]), 3)
+    found, _ = search.best_subset(dataset_from_bits(rows, [r[3] for r in rows]), 3)
     assert found.ordering == (3, 0, 1)  # a sorted tail
 
 
 def test_with_no_perfect_subset_the_walk_returns_a_row_core():
     # parity of three features: {f0, f1} pairs rows 0 and 1, {f0, f2} rows
-    # 0 and 2, and {f1, f2} finds row 0 with no core partner, so adds 4
+    # 0 and 2, and {f1, f2} finds row 0 with no core partner, so adds 4;
+    # every pair errs on half the rows
     ds = cube_dataset(lambda r: r[0] ^ r[1] ^ r[2])
-    assert search.perfect_subset(ds, 2) == (0, 1, 2, 4)
+    best, core = search.best_subset(ds, 2)
+    assert core == (0, 1, 2, 4)
+    assert best.cost == 4
 
 
 @settings(max_examples=80, deadline=None)
@@ -709,9 +833,10 @@ def test_a_row_core_admits_no_perfect_classifier(k, m, depth, data):
     truth = {row: data.draw(bit) for row in sorted(set(rows))}
     ds = dataset_from_bits(rows, [truth[row] for row in rows])
     assume(len(set(ds.labels)) == 2)
-    found = search.perfect_subset(ds, depth)
-    if isinstance(found, search.GreedySeed):
+    best, found = search.best_subset(ds, depth)
+    if best.cost == 0:
         assert best_split_error(ds, depth) == 0
+        assert found == ()
         return
     assert list(found) == sorted(set(found))
     assert 2 <= len(found) <= 2 * comb(k, depth)
@@ -722,7 +847,7 @@ def test_the_certificate_refutes_the_core_rows_only(monkeypatch):
     # no single feature classifies this data; the solver's UNSAT answer is
     # on a formula with d variables for the core rows and no others
     ds = random_dataset(random.Random(4), k=6, m=40, consistent=True)
-    core = search.perfect_subset(ds, 1)
+    _, core = search.best_subset(ds, 1)
     assert len(core) < ds.m
     encoded, answers = [], []
     encode_fn, solve_fn = search.encode.encode_bdd2, search.solve.sat_solve
