@@ -172,7 +172,8 @@ def cmd_encode(args) -> int:
     _atomic_write(out, buf.getvalue())
     context_path = Path(args.context) if args.context else out.with_suffix(".context.json")
     doc = ctx.to_json()
-    doc["literal_count"] = cnf.literal_count(formula)
+    lits = cnf.literal_count(formula)
+    doc["literal_count"] = lits
     doc["label_names"] = list(dataset.label_names)
     doc["feature_specs"] = [list(s) for s in dataset.feature_specs]
     _write_json(context_path, doc)
@@ -180,7 +181,7 @@ def cmd_encode(args) -> int:
     print(
         f"wrote {out} ({formula.var_count} vars, "
         f"{len(formula.hard) + len(formula.soft)} clauses, "
-        f"{cnf.literal_count(formula)} literals) and {context_path} "
+        f"{lits} literals) and {context_path} "
         f"in {elapsed:.2f}s"
     )
     return EXIT_OK

@@ -243,31 +243,40 @@ def encode_bdd2(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingCont
     return formula, ctx
 
 
-def bdd2_literal_count(dataset: Dataset, depth: int) -> int:
-    """``cnf.literal_count(encode_bdd2(dataset, depth)[0])`` without the formula.
+def literal_count(dataset: Dataset, depth: int, variant: str = BDD2) -> int:
+    """``cnf.literal_count`` of the ``variant`` formula, without building it.
 
-    Runs the depth and consistency checks of :func:`encode_bdd2` first,
-    raising the same errors in the same order.  The count sums the
-    clause families term by term: a sequential at-most-one over ``n``
+    ``variant`` is :data:`BDD2` or :data:`MAXSAT`.  Runs the checks of
+    that variant's encoder first, raising the same errors in the same
+    order: the depth, then consistency for ``BDD2`` only.  The count sums
+    the clause families term by term: a sequential at-most-one over ``n``
     literals has ``6n - 4`` (none for ``n <= 1``), the bead constraint
     twelve per cell pair plus its covering clause, each feature-value
-    link two, and each classification clause ``depth + 1``.
+    link two, and each classification clause ``depth + 1``.  MaxSAT adds
+    ``e[q]`` to each of the ``m * 2**depth`` classification clauses and
+    one soft unit per example.
     """
+    if variant not in (BDD2, MAXSAT):
+        raise ValueError(f"no closed-form literal count for {variant!r}")
     _check_depth(depth)
-    _require_consistent(dataset)
+    if variant == BDD2:
+        _require_consistent(dataset)
     k, m = dataset.k, dataset.m
 
     def at_most_one(n: int) -> int:
         return 6 * n - 4 if n > 1 else 0
 
     half = 1 << (depth - 1)
-    return (
+    count = (
         k * at_most_one(depth)
         + depth * (k + at_most_one(k))
         + 13 * half
         + 2 * k * m * depth
         + m * (2 * half) * (depth + 1)
     )
+    if variant == MAXSAT:
+        count += m * (2 * half + 1)
+    return count
 
 
 def encode_maxsat(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingContext]:

@@ -10,7 +10,8 @@ the solver would.  When no subset is perfect, SAT mode has the solver
 prove UNSAT on the few rows of the walk's core instead of the whole
 dataset, and MaxSAT mode takes the walk's least-error subset as the
 incumbent: the solver only has to prove it optimal, and a budget stop
-returns it, the optimum, as the anytime model.
+returns it, the optimum, as the anytime model.  The formula is built
+once, after the witness and the walk, and only when a solver runs.
 ``model_from_table`` is the one way from a decoded ordering
 and truth table to a model: unknown-cell marking, the configured
 generalization bias, the diagram and the training accuracy.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from math import comb
 from typing import Callable, Sequence
 
-from . import cnf, encode, postprocess, solve
+from . import encode, postprocess, solve
 from .bdd import (
     Bdd,
     TruthTable,
@@ -419,15 +420,17 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     :func:`best_subset` finds the least-error classifier among all of
     them, and a perfect one is checked and returned the same way, so
     ``learn`` may return a different perfect ordering and table than the
-    solver would.  In SAT mode no formula is built before the walk: the
-    checks of ``encode_bdd2`` run on their own and ``literal_count`` comes
-    from :func:`encode.bdd2_literal_count`.  When the walk finds no
-    perfect subset, the solver refutes the ``encode_bdd2`` formula of the
-    walk's row core, whose UNSAT implies the full formula's, so UNSAT
-    always comes from the solver.  In MaxSAT mode the walk's classifier
-    becomes the incumbent when it errs less than the greedy one (a tie
-    keeps the greedy one), and the descent starts below the incumbent's
-    cost; under the cap that is the optimum, so the solver's one call is
+    solver would.  No formula is built before the walk: the checks of
+    the mode's encoder run up front in :func:`encode.literal_count`, which
+    gives ``literal_count`` on every path, and the one formula is built
+    only when a solver runs.  When the walk finds no perfect subset, the
+    solver refutes the ``encode_bdd2`` formula of the walk's row core,
+    whose UNSAT implies the full formula's, so UNSAT always comes from the
+    solver.  In MaxSAT mode the walk's classifier becomes the incumbent
+    when it errs less than the greedy one (a tie keeps the greedy one),
+    and the descent starts below the incumbent's cost, on a formula that
+    keeps the tail-sorted orderings only (:func:`encode.ordered_tail`);
+    under the cap that cost is the optimum, so the solver's one call is
     the proof.  When it finds no better model, the incumbent is returned,
     its errors counted row by row against its cost: optimal when the
     solver proved that nothing beats it, not optimal when the budget ran
@@ -464,18 +467,11 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     embedded = not cfg.solver_cmd and work.k >= cfg.depth
     # under the cap the subset walk finds the least-error classifier: SAT
     # mode answers from it (a witness, or an UNSAT proof on the walk's row
-    # core, so the full formula is never built), MaxSAT takes it as the
-    # incumbent the solver has only to prove optimal
+    # core), MaxSAT takes it as the incumbent the solver has only to prove
+    # optimal
     exact = embedded and comb(work.k, cfg.depth) <= EXACT_SUBSET_CAP
-    if exact and cfg.mode == MODE_SAT:
-        formula = ctx = None  # built on the core rows if the walk finds no witness
-        lits = encode.bdd2_literal_count(work, cfg.depth)
-    else:
-        if cfg.mode == MODE_SAT:
-            formula, ctx = encode.encode_bdd2(work, cfg.depth)
-        else:
-            formula, ctx = encode.encode_maxsat(work, cfg.depth)
-        lits = cnf.literal_count(formula)
+    variant = encode.BDD2 if cfg.mode == MODE_SAT else encode.MAXSAT
+    lits = encode.literal_count(work, cfg.depth, variant)
 
     def build(positions, table, optimal: bool, stats: dict) -> LearnedModel:
         return model_from_table(
@@ -495,6 +491,7 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
         return build(seed.ordering, seed.table, optimal, stats)
 
     greedy = incumbent = None
+    rows = work  # the examples the formula encodes
     if embedded:
         greedy = incumbent = greedy_seed(work, cfg.depth)
     remaining()  # raises once the budget is spent, witness or not
@@ -510,18 +507,21 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
         if best.cost < greedy.cost:  # a tie keeps the greedy classifier
             incumbent = best
         if cfg.mode == MODE_SAT and best.cost:
-            formula, ctx = encode.encode_bdd2(work.subset(core), cfg.depth)
+            rows = work.subset(core)
     if incumbent is not None and incumbent.cost == 0:
         extra = {"seed_cost": greedy.cost}
         if cfg.mode == MODE_MAXSAT:
             extra = {"cost": 0, "iterations": 0, **extra}
         return checked(incumbent, True, _stats_dict(solve.SatStats(), extra))
 
+    encoder = encode.encode_bdd2 if cfg.mode == MODE_SAT else encode.encode_maxsat
+    formula, ctx = encoder(rows, cfg.depth)
     # the embedded MaxSAT descent looks below the incumbent's cost, at
     # tail-sorted orderings only
-    upper, bounded = None, []
+    upper = None
     if cfg.mode == MODE_MAXSAT and incumbent is not None:
-        upper, bounded = incumbent.cost, encode.ordered_tail(ctx)
+        upper = incumbent.cost
+        formula.add_hard_clauses(encode.ordered_tail(ctx))
 
     if cfg.solver_cmd:
         with tempfile.TemporaryDirectory(prefix="bddlearn-") as workdir:
@@ -532,11 +532,7 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
         result = solve.sat_solve(formula, budget=remaining(), seed=cfg.seed)
     else:
         result = solve.maxsat_solve(
-            formula,
-            budget=remaining(),
-            seed=cfg.seed,
-            upper=upper,
-            bounded_clauses=bounded,
+            formula, budget=remaining(), seed=cfg.seed, upper=upper
         )
     if exact and result.model is not None:
         raise RuntimeError("internal error: the solver beat the subset walk")

@@ -64,10 +64,6 @@ class SatResult:
     model: dict[int, int] | None
     stats: SatStats = field(default_factory=SatStats)
 
-    @property
-    def is_sat(self) -> bool:
-        return self.status == SAT
-
 
 def _drop(watches: list[list[int]], lit: int, moved: list[int]) -> None:
     """Rebuild ``watches[lit]`` without the clauses whose watch moved away."""

@@ -15,20 +15,19 @@ falsified soft units made true wherever no clause breaks
 (:func:`bddlearn.cnf.soft_unit_repair`).  The bound after every model is
 the recomputed count of soft clauses the repaired model falsifies, which
 is tighter than the number of true relaxation literals whenever the
-solver set some of them gratuitously.  A caller that knows a symmetry of
-its problem passes ``bounded_clauses``: hard clauses that every call
-gets.  They must keep some model of each cost, as the lex-leader clauses
-of :func:`bddlearn.encode.ordered_tail` do.  The UNSAT proof at the end
-then refutes one representative per symmetry class.  A call whose
-cardinality network is finished only after the deadline gets no solver,
-and a solver whose construction runs past the deadline does not search.
+solver set some of them gratuitously.  The lex-leader clauses of a
+symmetry, such as :func:`bddlearn.encode.ordered_tail`, belong in the
+hard clauses; they must keep some model of each cost, and the UNSAT
+proof at the end then refutes one representative per symmetry class.  A
+call whose cardinality network is finished only after the deadline gets
+no solver, and a solver whose construction runs past the deadline does
+not search.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .. import cnf
 from .cdcl import TIMEOUT, UNSAT, CdclSolver, SatStats
@@ -65,7 +64,6 @@ def maxsat_solve(
     budget: float | None = 900.0,
     seed: int = 0,
     upper: int | None = None,
-    bounded_clauses: Sequence[list[int]] = (),
 ) -> MaxSatResult:
     """Minimize the falsified soft-clause weight of ``formula``.
 
@@ -76,8 +74,6 @@ def maxsat_solve(
     ``upper``, ``TIMEOUT_NO_SOLUTION`` otherwise.  Without ``upper`` the
     first bound excludes nothing, and its UNSAT answer raises
     :class:`SolverError`: the hard clauses alone are unsatisfiable.
-    ``bounded_clauses`` are hard clauses added to every call; whenever
-    some model costs at most ``b``, one of the same cost must satisfy them.
     """
     if any(w != 1 for _, w in formula.soft):
         raise ValueError("maxsat_solve supports unit soft weights only")
@@ -131,7 +127,7 @@ def maxsat_solve(
         # the relaxed base plus the current bound; stale looser bounds are
         # dropped, so iterations shrink as the bound tightens
         working = cnf.Formula(relaxed.var_count)
-        working.hard = relaxed.hard + list(bounded_clauses)
+        working.hard = list(relaxed.hard)
         if best_cost <= len(relax):  # a bound of len(relax) excludes nothing
             cnf.at_most_k(working, relax, best_cost - 1)
             if expired():  # the counter takes long to build at a large bound

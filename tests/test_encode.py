@@ -360,13 +360,18 @@ def test_feature_value_links_name_a_literal_outside_the_formula(demo8):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 60), st.integers(1, 4), st.data())
 def test_bdd2_literal_count_matches_the_built_formula(k, m, depth, data):
-    # labels are a function of the row, so the data is consistent
+    # labels are a function of the row, so the data is consistent; the
+    # closed form counts the bdd2 and the MaxSAT formula alike
     bit = st.integers(0, 1)
     rows = data.draw(st.lists(st.tuples(*[bit] * k), min_size=m, max_size=m))
     truth = {row: data.draw(bit) for row in sorted(set(rows))}
     ds = dataset_from_bits(rows, [truth[row] for row in rows])
-    formula, _ = encode_bdd2(ds, depth)
-    assert encode.bdd2_literal_count(ds, depth) == cnf.literal_count(formula)
+    for variant, encoder in [
+        (encode.BDD2, encode_bdd2),
+        (encode.MAXSAT, encode_maxsat),
+    ]:
+        formula, _ = encoder(ds, depth)
+        assert encode.literal_count(ds, depth, variant) == cnf.literal_count(formula)
 
 
 def test_bdd2_literal_count_runs_the_encoder_checks_in_order():
@@ -376,6 +381,16 @@ def test_bdd2_literal_count_runs_the_encoder_checks_in_order():
         (17, "exceeds the supported maximum"),
         (1, "inconsistent"),
     ]:
-        for count in (encode.bdd2_literal_count, encode_bdd2):
+        for count in (encode.literal_count, encode_bdd2):
             with pytest.raises(ValueError, match=message):
                 count(inconsistent, depth)
+    # the MaxSAT count, like its encoder, checks the depth and accepts
+    # inconsistent data
+    for depth, message in [(0, "must be >= 1"), (17, "exceeds the supported")]:
+        with pytest.raises(ValueError, match=message):
+            encode.literal_count(inconsistent, depth, encode.MAXSAT)
+        with pytest.raises(ValueError, match=message):
+            encode_maxsat(inconsistent, depth)
+    formula, _ = encode_maxsat(inconsistent, 1)
+    count = encode.literal_count(inconsistent, 1, encode.MAXSAT)
+    assert count == cnf.literal_count(formula)

@@ -252,6 +252,21 @@ def test_learn_sorts_the_tail_of_descended_optima(monkeypatch):
     assert descended >= 3
 
 
+def test_one_descent_through_learn_is_pinned(monkeypatch):
+    # above the subset cap the embedded descent runs from the greedy seed
+    # on the formula with its tail-order clauses; the counters pin the
+    # clause list every call gets, in order
+    monkeypatch.setattr(search, "EXACT_SUBSET_CAP", 0)
+    ds = random_dataset(random.Random(5), k=6, m=24)
+    model = learn(ds, LearnConfig(depth=3, mode="maxsat", budget=60))
+    assert (model.ordering, model.table.cells) == ((4, 1, 5), "01011001")
+    stats = model.solver_stats
+    assert model.optimal
+    assert (stats["cost"], stats["seed_cost"], stats["iterations"]) == (3, 4, 2)
+    counters = (stats["conflicts"], stats["decisions"], stats["propagations"])
+    assert counters == (278, 377, 17_388)
+
+
 def _suboptimal_seeds(rng, count, k, m, depth):
     """Datasets whose greedy classifier errs more than the optimum."""
     found = []
@@ -552,11 +567,15 @@ def cube_dataset(label):
 
 
 def _no_solver(monkeypatch):
+    """Fail the test if a solver, or a formula for one, is built."""
+
     def refuse(*args, **kwargs):
-        raise AssertionError("a solver was built")
+        raise AssertionError("a solver or its formula was built")
 
     for owner in (solve.cdcl, solve.maxsat, solve):
         monkeypatch.setattr(owner, "CdclSolver", refuse)
+    for encoder in ("encode_bdd2", "encode_maxsat"):
+        monkeypatch.setattr(search.encode, encoder, refuse)
 
 
 @pytest.mark.parametrize("mode", ["sat", "maxsat"])
@@ -661,13 +680,13 @@ def test_maxsat_witness_matches_the_solver_on_separable_data(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "mode, step", [("sat", "check_consistency"), ("maxsat", "encode_maxsat")]
+    "mode, step", [("sat", "check_consistency"), ("maxsat", "literal_count")]
 )
 def test_the_budget_runs_from_the_call(monkeypatch, demo8, mode, step):
     # demo8's seed is perfect at depth 2, so only the budget stops the
     # witness after a step before it that outlasts the budget: the
-    # encoder's consistency check (SAT mode builds no formula before the
-    # witness) or the MaxSAT encoding
+    # encoder's consistency check or the literal count (no formula is
+    # built before the witness)
     step_fn = getattr(search.encode, step)
 
     def slow_step(*args):

@@ -273,9 +273,9 @@ def test_an_upper_bound_above_the_optimum_descends_to_it():
     for _ in range(3):
         formula, ctx = encode_maxsat(random_dataset(rng, k=5, m=16), 3)
         opt = maxsat_solve(formula, budget=60).cost
-        res = maxsat_solve(
-            formula, budget=60, upper=opt + 1, bounded_clauses=ordered_tail(ctx)
-        )
+        sorted_tail = formula.copy()
+        sorted_tail.add_hard_clauses(ordered_tail(ctx))
+        res = maxsat_solve(sorted_tail, budget=60, upper=opt + 1)
         assert res.status == OPTIMUM and res.cost == opt
         assert res.iterations == 2  # a model of cost opt, then the proof
         assert cnf.verify_model(formula, res.model)
