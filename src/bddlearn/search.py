@@ -1,22 +1,23 @@
 """Learning pipelines: depth search, feature preselection, train/evaluate.
 
 ``learn`` wires the full path together: optional greedy feature
-preselection, encoding, solving (embedded or external) and model
-decoding.  On the embedded path a greedy classifier that errs on no
-example answers without a solver, and so does the first perfect feature
-subset that ``best_subset`` finds, so ``learn``, ``min_depth`` and
-cross-validation may return a different perfect ordering and table than
-the solver would.  When no subset is perfect, SAT mode has the solver
-prove UNSAT on the few rows of the walk's core instead of the whole
-dataset, and MaxSAT mode takes the walk's least-error subset as the
-incumbent: the solver only has to prove it optimal, and a budget stop
-returns it, the optimum, as the anytime model.  The formula is built
-once, after the witness and the walk, and only when a solver runs.
-``model_from_table`` is the one way from a decoded ordering
-and truth table to a model: unknown-cell marking, the configured
-generalization bias, the diagram and the training accuracy.
-``min_depth`` finds the smallest depth admitting a perfect classifier by
-linear search, and ``cross_validate`` runs the k-fold protocol.
+preselection, then, on the embedded path, one anytime walk over the
+feature subsets, :func:`best_subset`, that the budget bounds and whose
+first leaf is the greedy classifier.  The walk gives every answer, and
+the solver only certifies it: a perfect leaf is returned without a
+solver, so ``learn``, ``min_depth`` and cross-validation may return a
+different perfect ordering and table than the solver would; with no
+perfect leaf, SAT mode has the solver prove UNSAT on the few rows of the
+walk's core instead of the whole dataset, and MaxSAT mode has it prove
+the walk's optimum at one error below.  A walk the budget stops returns
+its best leaf in MaxSAT mode as the anytime model.  The formula is built
+once, after the walk, and only when a solver runs; the external path
+encodes the whole dataset and decodes the external solver's model.
+``model_from_table`` is the one way from an ordering and truth table to
+a model: unknown-cell marking, the configured generalization bias, the
+diagram and the training accuracy.  ``min_depth`` finds the smallest
+depth admitting a perfect classifier by linear search, and
+``cross_validate`` runs the k-fold protocol.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from math import comb
 from typing import Callable, Sequence
 
 from . import encode, postprocess, solve
@@ -166,51 +166,17 @@ def preselect_features(
 
 
 @dataclass(frozen=True)
-class GreedySeed:
+class Leaf:
     ordering: tuple[int, ...]
     table: TruthTable
     cost: int  # training errors of the table
 
 
-def _majority_error(counts) -> int:
-    return sum(min(pos, neg) for pos, neg in counts)
-
-
-def greedy_seed(dataset: Dataset, depth: int) -> GreedySeed:
-    """A cheap classifier of ``depth`` to start the MaxSAT descent from.
-
-    Positions are filled in order, each with the unused feature that
-    minimizes the majority-fill error of the ordering so far, ties going
-    to the lowest index.  Each cell takes its majority label (0 on a tie).
-    If the table's two halves are then identical, the table is not a bead
-    (its root split is vacuous), and the cell with the smallest
-    ``|pos - neg|`` is flipped.  Needs ``dataset.k >= depth``.
-    """
-    if not 1 <= depth <= dataset.k:
-        raise ValueError(f"depth must be in 1..{dataset.k}")
-    ordering: tuple[int, ...] = ()
-    for _ in range(depth):
-        candidates = (r for r in range(dataset.k) if r not in ordering)
-        best = min(
-            candidates,
-            key=lambda r: _majority_error(cell_counts(dataset, ordering + (r,))),
-        )
-        ordering += (best,)
-    counts = cell_counts(dataset, ordering)
-    cells = ["1" if pos > neg else "0" for pos, neg in counts]
-    cost = _majority_error(counts)
-    half = len(cells) // 2
-    if cells[:half] == cells[half:]:
-        margins = [abs(pos - neg) for pos, neg in counts]
-        j = margins.index(min(margins))
-        cells[j] = "0" if cells[j] == "1" else "1"
-        cost += margins[j]
-    return GreedySeed(ordering, TruthTable("".join(cells)), cost)
-
-
-# learn walks the feature subsets only when there are at most this many,
-# C(k, depth), to visit
-EXACT_SUBSET_CAP = 50_000
+@dataclass(frozen=True)
+class Walk:
+    best: Leaf  # the least-error leaf the walk reached
+    first_cost: int  # the first leaf's errors: the greedy classifier's
+    core: tuple[int, ...] | None  # the row core; None when the walk was stopped
 
 
 def _majority_fill(counts) -> tuple[list[str], int]:
@@ -220,7 +186,7 @@ def _majority_fill(counts) -> tuple[list[str], int]:
     smallest ``|pos - neg|`` is flipped at that many extra errors.
     """
     cells = ["1" if pos > neg else "0" for pos, neg in counts]
-    errors = _majority_error(counts)
+    errors = sum(min(pos, neg) for pos, neg in counts)
     if len(set(cells)) == 1:
         margins = [abs(pos - neg) for pos, neg in counts]
         j = margins.index(min(margins))
@@ -230,44 +196,71 @@ def _majority_fill(counts) -> tuple[list[str], int]:
 
 
 def best_subset(
-    dataset: Dataset, depth: int, tick: Callable[[], object] = lambda: None
-) -> tuple[GreedySeed, tuple[int, ...]]:
-    """The classifier of ``depth`` with the fewest training errors, and a row core.
+    dataset: Dataset, depth: int, stop: Callable[[], bool] = lambda: False
+) -> Walk | None:
+    """The classifier of ``depth`` with the fewest training errors, found
+    by one anytime walk over the feature subsets, and a row core.
 
     The errors of a feature subset do not depend on the order of its
     features: every cell takes its majority label, so the subset costs
     ``min(pos, neg)`` summed over its cells, plus the cheapest flip when
     that table is constant (no root split then gives a bead), the rule of
-    :func:`_majority_fill`.  Feature subsets are walked depth-first in
-    increasing index order, the cells of a prefix extended by one AND of
-    the row bitsets per cell and feature; only cells holding both labels
-    are carried down, since only they err.  The first subset of least
-    cost wins, and a perfect one, with no mixed cell left, stops the
-    walk.  The winner's table is its majority fill (an empty cell is 0);
-    the root is the first feature of the subset the table depends on (so
-    the table is a bead) and the tail is sorted.
+    :func:`_majority_fill`.  The walk is depth-first.  At each level it
+    tries the candidate features cheapest first, ranked by the
+    majority-fill error of the prefix they extend (ties go to the lower
+    index), and each later sibling draws only on the candidates ranked
+    after it, so every subset is visited once and the first leaf is the
+    greedy classifier.  The cells of a prefix extended by one feature are
+    an AND of the row bitsets per cell; only cells holding both labels
+    are carried down, since only they err.  The first leaf of least cost
+    wins, and a perfect one, with no mixed cell left, ends the walk.  The
+    winner's table is its majority fill (an empty cell is 0) in the
+    walk's pick order; when that table ignores the first pick, the first
+    pick it reads becomes the root, so the table is a bead.
 
-    Every subset the walk leaves mixed gets a witness pair in the core: if
+    Every leaf the walk leaves mixed gets a witness pair in the core: if
     none of its mixed cells already holds core rows of both labels, the
     lowest positive and the lowest negative row of its first mixed cell
-    join the core.  When no subset is perfect, the walk returns the
-    core's sorted row indices, at most ``2 * C(k, depth)`` of them, next
-    to the least-error classifier; next to a perfect one, the empty tuple.
-    No subset classifies the core rows alone, so the ``encode_bdd2``
-    formula of the core is unsatisfiable, and with it the full formula,
-    whose clauses include the core's up to a renaming of the ``d``
-    variables (the example-subset argument of Avellaneda, AAAI 2020).
+    join the core.  A finished walk with no perfect leaf returns the
+    core's sorted row indices, at most ``2 * C(k, depth)`` of them; one
+    that ends on a perfect leaf, the empty tuple.  No subset classifies
+    the core rows alone, so the ``encode_bdd2`` formula of the core is
+    unsatisfiable, and with it the full formula, whose clauses include
+    the core's up to a renaming of the ``d`` variables (the
+    example-subset argument of Avellaneda, AAAI 2020).
 
-    ``tick`` is called before each feature is tried, so it can stop the
-    walk by raising.  Needs ``dataset.k >= depth`` and both labels present.
+    ``stop`` is asked before each feature is tried; once it answers true
+    the walk ends with its best leaf so far and no core, or returns None
+    when it has reached no leaf.  Needs ``dataset.k >= depth`` and both
+    labels present.
     """
-    columns, labels, k = dataset.column_bits, dataset.label_bits, dataset.k
+    columns, labels = dataset.column_bits, dataset.label_bits
     core = 0  # bitset of the core rows
-    best, least = None, dataset.m + 1  # the cheapest (subset, cells) so far, its cost
+    best, least = None, dataset.m + 1  # the cheapest (picks, cells) so far, its cost
+    first = 0  # the first leaf's cost, left 0 when that leaf is perfect
+    stopped = False
 
-    def walk(prefix: tuple[int, ...], mixed: list[int]) -> bool:
-        """Walk the subsets that extend ``prefix``; True once one is perfect."""
-        nonlocal core, best, least
+    def split(mixed: list[int], r: int) -> tuple[list[int], int]:
+        """The cells of ``mixed`` split on feature ``r`` that hold both
+        labels, and their errors: a subset's cost without its flip."""
+        on = columns[r]
+        off = ~on
+        out, errors = [], 0
+        for cell in mixed:
+            for half in (cell & off, cell & on):
+                pos = (half & labels).bit_count()
+                neg = half.bit_count() - pos
+                if pos and neg:
+                    out.append(half)
+                    errors += pos if pos < neg else neg
+        return out, errors
+
+    def walk(prefix: tuple[int, ...], mixed: list[int], cost: int, pool) -> bool:
+        """Walk the subsets that extend ``prefix`` by the features of the
+        ranked ``pool``; True once one is perfect or the walk is stopped.
+        ``cost`` is the errors of ``mixed``, the prefix's cells that hold
+        both labels."""
+        nonlocal core, best, least, first, stopped
         if len(prefix) == depth:
             if not mixed:
                 cells = _majority_fill(cell_counts(dataset, prefix))[0]
@@ -277,42 +270,42 @@ def best_subset(
             if all(rows & labels in (0, rows) for rows in held):
                 pos, neg = mixed[0] & labels, mixed[0] & ~labels
                 core |= pos & -pos | neg & -neg
-            errors = 0  # the mixed cells' errors: the cost without its flip
-            for cell in mixed:
-                pos = (cell & labels).bit_count()
-                errors += min(pos, cell.bit_count() - pos)
-            if errors < least:
-                cells, errors = _majority_fill(cell_counts(dataset, prefix))
-                if errors < least:
-                    best, least = (prefix, cells), errors
+            if cost < least:  # the flip only adds to it
+                cells, cost = _majority_fill(cell_counts(dataset, prefix))
+                if best is None:
+                    first = cost
+                if cost < least:
+                    best, least = (prefix, cells), cost
             return False
-        for r in range(prefix[-1] + 1 if prefix else 0, k - depth + len(prefix) + 1):
-            tick()
-            on = columns[r]
-            off = ~on
-            split = [
-                half
-                for cell in mixed
-                for half in (cell & off, cell & on)
-                if half & labels not in (0, half)
-            ]
-            if walk(prefix + (r,), split):
+        ranked = sorted((split(mixed, r)[1], r) for _, r in pool)
+        for i in range(len(ranked) - depth + len(prefix) + 1):
+            if stop():
+                stopped = True
+                return True
+            cost, r = ranked[i]
+            if walk(prefix + (r,), split(mixed, r)[0], cost, ranked[i + 1 :]):
                 return True
         return False
 
-    walk((), [(1 << dataset.m) - 1])
-    subset, cells = best
-    half = len(cells) // 2  # the cell-index bit of the subset's first feature
+    # the costs of the root and of its pool are never read
+    walk((), [(1 << dataset.m) - 1], 0, [(0, r) for r in range(dataset.k)])
+    if best is None:
+        return None
+    picks, cells = best
+    half = len(cells) // 2  # the cell-index bit of the first pick
     root = next(
         r
-        for i, r in enumerate(subset)
+        for i, r in enumerate(picks)
         if any(c != cells[j ^ (half >> i)] for j, c in enumerate(cells))
     )
-    ordering = (root,) + tuple(r for r in subset if r != root)
-    if root != subset[0]:  # the table reads only the tail: reorder its cells
+    ordering = (root,) + tuple(r for r in picks if r != root)
+    if root != picks[0]:  # the table ignores the first pick: reorder its cells
         cells = _majority_fill(cell_counts(dataset, ordering))[0]
-    rows = () if least == 0 else tuple(q for q in range(dataset.m) if core >> q & 1)
-    return GreedySeed(ordering, TruthTable("".join(cells)), least), rows
+    if stopped:
+        rows = None
+    else:
+        rows = () if least == 0 else tuple(q for q in range(dataset.m) if core >> q & 1)
+    return Walk(Leaf(ordering, TruthTable("".join(cells)), least), first, rows)
 
 
 def training_accuracy(counts, table: TruthTable) -> float:
@@ -388,11 +381,11 @@ def _stats_dict(stats: solve.SatStats, extra: dict | None = None) -> dict:
     return doc
 
 
-def _check_witness(dataset: Dataset, seed: GreedySeed, depth: int) -> None:
-    """Raise unless ``seed`` orders ``depth`` distinct features of
-    ``dataset`` over a bead that errs on exactly ``seed.cost`` examples,
+def _check_witness(dataset: Dataset, leaf: Leaf, depth: int) -> None:
+    """Raise unless ``leaf`` orders ``depth`` distinct features of
+    ``dataset`` over a bead that errs on exactly ``leaf.cost`` examples,
     counted row by row."""
-    ordering, cells = seed.ordering, seed.table.cells
+    ordering, cells = leaf.ordering, leaf.table.cells
     if not (
         len(ordering) == depth == len(set(ordering))
         and all(0 <= r < dataset.k for r in ordering)
@@ -401,7 +394,7 @@ def _check_witness(dataset: Dataset, seed: GreedySeed, depth: int) -> None:
         and sum(
             classify_table(cells, ordering, row) != label
             for row, label in zip(dataset.features, dataset.labels)
-        ) == seed.cost
+        ) == leaf.cost
     ):
         raise RuntimeError("internal error: model fails hard-clause check")
 
@@ -412,32 +405,28 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     SAT mode refuses inconsistent datasets up front (no depth can fix a
     feature-vector conflict) and reports UNSAT as "depth insufficient".
     A single-class dataset short-circuits to a sink-only diagram without
-    touching a solver.  The budget runs from the call on.  The embedded
-    solver is preceded by a greedy classifier: when it errs on no example
-    it is a perfect, hence optimal, model, and it is returned, re-checked
-    row by row, without building a solver.  When it errs and there are at
-    most ``EXACT_SUBSET_CAP`` feature subsets of the depth,
-    :func:`best_subset` finds the least-error classifier among all of
-    them, and a perfect one is checked and returned the same way, so
-    ``learn`` may return a different perfect ordering and table than the
-    solver would.  No formula is built before the walk: the checks of
-    the mode's encoder run up front in :func:`encode.literal_count`, which
-    gives ``literal_count`` on every path, and the one formula is built
-    only when a solver runs.  When the walk finds no perfect subset, the
-    solver refutes the ``encode_bdd2`` formula of the walk's row core,
-    whose UNSAT implies the full formula's, so UNSAT always comes from the
-    solver.  In MaxSAT mode the walk's classifier becomes the incumbent
-    when it errs less than the greedy one (a tie keeps the greedy one),
-    and the descent starts below the incumbent's cost, on a formula that
-    keeps the tail-sorted orderings only (:func:`encode.ordered_tail`);
-    under the cap that cost is the optimum, so the solver's one call is
-    the proof.  When it finds no better model, the incumbent is returned,
-    its errors counted row by row against its cost: optimal when the
-    solver proved that nothing beats it, not optimal when the budget ran
-    out first.  A budget that runs out inside the walk returns the greedy
-    classifier the same way, without a solver.  Under the cap, a solver
-    model, of the core formula or below the incumbent, is an internal
-    error.
+    touching a solver; otherwise a depth above the number of features is
+    a data error.  The budget runs from the call on.  No formula is built
+    before the answer: the checks of the mode's encoder run up front in
+    :func:`encode.literal_count`, which gives ``literal_count`` on every
+    path.
+
+    On the embedded path the answer always comes from :func:`best_subset`,
+    whose walk the budget bounds, and the solver only certifies it.  A
+    perfect leaf is the witness: optimal, returned without a solver.  A
+    finished walk with no perfect leaf hands SAT mode its row core, whose
+    ``encode_bdd2`` formula the solver refutes (its UNSAT implies the full
+    formula's), and MaxSAT mode its optimum, which the solver proves at
+    one error below, on a formula that keeps the tail-sorted orderings
+    only (:func:`encode.ordered_tail`).  A walk stopped by the budget
+    before its first leaf raises :class:`SolverTimeoutError`; after it, the
+    walk's best leaf is returned in MaxSAT mode as the anytime model, not
+    optimal and without a solver, and SAT mode times out.  A budget that
+    runs out after the walk returns the same anytime model.  Every model
+    returned is re-checked row by row against its cost, and a solver
+    model is an internal error.  ``seed_cost`` reports the walk's first
+    leaf, the greedy classifier.  The external path encodes the whole
+    dataset and decodes the external solver's model.
     """
     deadline = time.monotonic() + cfg.budget
 
@@ -463,13 +452,9 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
         if len(selected) >= cfg.depth:
             work = dataset.restrict_features(selected)
             feature_map = selected
+    if work.k < cfg.depth:
+        raise DataError(f"depth {cfg.depth} is above the number of features, {work.k}")
 
-    embedded = not cfg.solver_cmd and work.k >= cfg.depth
-    # under the cap the subset walk finds the least-error classifier: SAT
-    # mode answers from it (a witness, or an UNSAT proof on the walk's row
-    # core), MaxSAT takes it as the incumbent the solver has only to prove
-    # optimal
-    exact = embedded and comb(work.k, cfg.depth) <= EXACT_SUBSET_CAP
     variant = encode.BDD2 if cfg.mode == MODE_SAT else encode.MAXSAT
     lits = encode.literal_count(work, cfg.depth, variant)
 
@@ -486,80 +471,67 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
             solver_stats=stats,
         )
 
-    def checked(seed: GreedySeed, optimal: bool, stats: dict) -> LearnedModel:
-        _check_witness(work, seed, cfg.depth)
-        return build(seed.ordering, seed.table, optimal, stats)
-
-    greedy = incumbent = None
-    rows = work  # the examples the formula encodes
-    if embedded:
-        greedy = incumbent = greedy_seed(work, cfg.depth)
-    remaining()  # raises once the budget is spent, witness or not
-    if exact and greedy.cost:
-        try:
-            best, core = best_subset(work, cfg.depth, remaining)
-        except SolverTimeoutError:
-            if cfg.mode == MODE_SAT:
-                raise
-            # the anytime floor: the greedy classifier, with no solver
-            extra = {"cost": greedy.cost, "iterations": 0, "seed_cost": greedy.cost}
-            return checked(greedy, False, _stats_dict(solve.SatStats(), extra))
-        if best.cost < greedy.cost:  # a tie keeps the greedy classifier
-            incumbent = best
-        if cfg.mode == MODE_SAT and best.cost:
-            rows = work.subset(core)
-    if incumbent is not None and incumbent.cost == 0:
-        extra = {"seed_cost": greedy.cost}
-        if cfg.mode == MODE_MAXSAT:
-            extra = {"cost": 0, "iterations": 0, **extra}
-        return checked(incumbent, True, _stats_dict(solve.SatStats(), extra))
-
-    encoder = encode.encode_bdd2 if cfg.mode == MODE_SAT else encode.encode_maxsat
-    formula, ctx = encoder(rows, cfg.depth)
-    # the embedded MaxSAT descent looks below the incumbent's cost, at
-    # tail-sorted orderings only
-    upper = None
-    if cfg.mode == MODE_MAXSAT and incumbent is not None:
-        upper = incumbent.cost
-        formula.add_hard_clauses(encode.ordered_tail(ctx))
-
     if cfg.solver_cmd:
+        encoder = encode.encode_bdd2 if cfg.mode == MODE_SAT else encode.encode_maxsat
+        formula, ctx = encoder(work, cfg.depth)
         with tempfile.TemporaryDirectory(prefix="bddlearn-") as workdir:
             result = solve.external_solve(
                 formula, cfg.solver_cmd, workdir, budget=remaining()
             )
-    elif cfg.mode == MODE_SAT:
-        result = solve.sat_solve(formula, budget=remaining(), seed=cfg.seed)
-    else:
-        result = solve.maxsat_solve(
-            formula, budget=remaining(), seed=cfg.seed, upper=upper
-        )
-    if exact and result.model is not None:
-        raise RuntimeError("internal error: the solver beat the subset walk")
-    seed_cost = greedy.cost if greedy else None
-    if isinstance(result, solve.SatResult):
-        if result.status == solve.TIMEOUT:
+        if isinstance(result, solve.SatResult):
+            _raise_unless_sat(result, cfg)
+            optimal, extra = True, {}
+        else:
+            if result.model is None:
+                raise SolverTimeoutError(f"no model within {cfg.budget}s")
+            optimal = result.optimal
+            extra = {"cost": result.cost, "iterations": result.iterations}
+        stats = _stats_dict(result.stats, {**extra, "seed_cost": None})
+        positions, table = encode.decode(result.model, ctx)
+        return build(positions, table, optimal, stats)
+
+    walk = best_subset(work, cfg.depth, lambda: time.monotonic() >= deadline)
+    if walk is None:
+        raise SolverTimeoutError(f"no model within {cfg.budget}s")
+    best = walk.best
+
+    def answer(optimal: bool, stats=solve.SatStats(), iterations=0) -> LearnedModel:
+        extra = {"seed_cost": walk.first_cost}
+        if cfg.mode == MODE_MAXSAT:
+            extra = {"cost": best.cost, "iterations": iterations, **extra}
+        _check_witness(work, best, cfg.depth)
+        return build(best.ordering, best.table, optimal, _stats_dict(stats, extra))
+
+    if best.cost == 0:
+        return answer(True)
+    if cfg.mode == MODE_SAT:
+        if walk.core is None:
             raise SolverTimeoutError(f"no answer within {cfg.budget}s")
-        if result.status == solve.UNSAT:
-            raise DepthInsufficientError(
-                f"depth {cfg.depth} insufficient for perfect classification"
-            )
-        optimal = True
-        stats = _stats_dict(result.stats, {"seed_cost": seed_cost})
-    else:
-        if result.model is None and incumbent is None:
-            raise SolverTimeoutError(f"no model within {cfg.budget}s")
-        optimal = result.optimal
-        stats = _stats_dict(result.stats, {
-            "cost": incumbent.cost if result.model is None else result.cost,
-            "iterations": result.iterations,
-            "seed_cost": seed_cost,
-        })
-    if result.model is None:
-        # nothing beat the incumbent: it is the optimum or the anytime model
-        return checked(incumbent, optimal, stats)
-    positions, table = encode.decode(result.model, ctx)
-    return build(positions, table, optimal, stats)
+        formula, _ = encode.encode_bdd2(work.subset(walk.core), cfg.depth)
+        result = solve.sat_solve(formula, budget=remaining(), seed=cfg.seed)
+        _raise_unless_sat(result, cfg)
+        raise RuntimeError("internal error: the solver beat the subset walk")
+    if walk.core is None:  # stopped: the anytime model
+        return answer(False)
+    formula, ctx = encode.encode_maxsat(work, cfg.depth)
+    formula.add_hard_clauses(encode.ordered_tail(ctx))
+    # a budget spent by now builds no solver, and the walk's optimum comes
+    # back as the anytime model
+    result = solve.maxsat_solve(
+        formula, budget=deadline - time.monotonic(), seed=cfg.seed, upper=best.cost
+    )
+    if result.model is not None:
+        raise RuntimeError("internal error: the solver beat the subset walk")
+    return answer(result.optimal, result.stats, result.iterations)
+
+
+def _raise_unless_sat(result: solve.SatResult, cfg: LearnConfig) -> None:
+    if result.status == solve.TIMEOUT:
+        raise SolverTimeoutError(f"no answer within {cfg.budget}s")
+    if result.status == solve.UNSAT:
+        raise DepthInsufficientError(
+            f"depth {cfg.depth} insufficient for perfect classification"
+        )
 
 
 @dataclass
@@ -585,11 +557,11 @@ def min_depth(
     until the boundary is bracketed; ``strategy="binary"`` bisects
     instead.  Consistent data is always separable at depth K, so the walk
     terminates.  Single-class data short-circuits to the constant model.
-    A SAT probe answers with its greedy classifier when that is perfect,
-    else, under the subset cap, with the first perfect feature subset (see
-    :func:`learn`).  UNSAT answers, and so the ``unsat_depth`` certificate,
-    come from the solver: under the cap it refutes the formula of the
-    subset walk's row core, whose UNSAT implies that of the whole dataset.
+    A SAT probe answers with the first perfect leaf of the subset walk
+    (see :func:`learn`).  UNSAT answers, and so the ``unsat_depth``
+    certificate, come from the solver: it refutes the formula of the
+    finished walk's row core, whose UNSAT implies that of the whole
+    dataset.  No probe goes above K, the number of features.
     """
     if h0 < 1:
         raise ValueError("h0 must be >= 1")

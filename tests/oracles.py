@@ -132,6 +132,49 @@ def best_split_error(dataset: Dataset, depth: int) -> int:
     return best
 
 
+def greedy_classifier(dataset: Dataset, depth: int) -> tuple[tuple[int, ...], str, int]:
+    """The greedy classifier of ``depth``: its ordering, table and errors.
+
+    Positions are filled in order, each with the unused feature that
+    minimizes the majority-fill errors of the ordering so far, ties going
+    to the lowest index.  Each cell takes its majority label (0 on a tie or
+    no traffic); a constant table flips its first cell of least
+    ``|pos - neg|``.  When the table ignores the first feature, the first
+    feature it reads becomes the root and the cells are filled again.
+    """
+
+    def errors(ordering) -> int:
+        pos, neg = route_counts(dataset, ordering, 1 << len(ordering))
+        return sum(min(p, n) for p, n in zip(pos, neg))
+
+    def fill(ordering) -> tuple[list[str], int]:
+        pos, neg = route_counts(dataset, ordering, 1 << len(ordering))
+        cells = ["1" if p > n else "0" for p, n in zip(pos, neg)]
+        cost = errors(ordering)
+        if len(set(cells)) == 1:
+            margins = [abs(p - n) for p, n in zip(pos, neg)]
+            j = margins.index(min(margins))
+            cells[j] = "1" if cells[j] == "0" else "0"
+            cost += margins[j]
+        return cells, cost
+
+    ordering: tuple[int, ...] = ()
+    for _ in range(depth):
+        unused = [r for r in range(dataset.k) if r not in ordering]
+        ordering += (min(unused, key=lambda r: errors(ordering + (r,))),)
+    cells, cost = fill(ordering)
+    read = [
+        i
+        for i in range(depth)
+        if any(cells[j] != cells[j ^ (1 << (depth - 1 - i))] for j in range(len(cells)))
+    ]
+    if read[0]:
+        root = ordering[read[0]]
+        ordering = (root,) + tuple(r for r in ordering if r != root)
+        cells, cost = fill(ordering)
+    return ordering, "".join(cells), cost
+
+
 def audit_bdd(bdd) -> list[str]:
     """Structural check of the ordered and reduced invariants.
 

@@ -111,6 +111,23 @@ def test_learn_writes_model_and_dot(tmp_path, demo8_csv, capsys):
     assert "train accuracy 1.0000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", ["sat", "maxsat"])
+def test_learn_with_no_varying_feature_is_a_data_error(tmp_path, capsys, mode):
+    # one-hot encoding of a constant column leaves no feature
+    data = tmp_path / "constant.csv"
+    data.write_text("a,label\nx,0\nx,1\n")
+    out = tmp_path / "m.json"
+    code = run(
+        "learn", str(data), "--label", "label", "--depth", "1", "--mode", mode,
+        "--out", str(out),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "depth 1 is above the number of features, 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_learn_depth_insufficient_is_solver_error(tmp_path, demo8_csv, capsys):
     code = run(
         "learn",

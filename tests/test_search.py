@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -16,13 +17,12 @@ from bddlearn.search import (
     SolverTimeoutError,
     cross_validate,
     evaluate,
-    greedy_seed,
     learn,
     min_depth,
     preselect_features,
     training_accuracy,
 )
-from oracles import best_split_error, random_dataset, route_counts
+from oracles import best_split_error, greedy_classifier, random_dataset
 
 
 def parity_dataset():
@@ -141,6 +141,16 @@ def test_learn_sat_mode_depth_insufficient(demo8):
         learn(demo8, LearnConfig(depth=1, mode="sat", budget=30))
 
 
+@pytest.mark.parametrize("mode", ["sat", "maxsat"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_a_depth_above_the_feature_count_is_a_data_error(monkeypatch, mode, k):
+    rows = [tuple((a >> s) & 1 for s in range(k)) for a in range(4)]
+    ds = dataset_from_bits(rows, [0, 1, 0, 1])
+    _no_solver(monkeypatch)
+    with pytest.raises(DataError, match="depth 2 is above the number of features"):
+        learn(ds, LearnConfig(depth=2, mode=mode, budget=60))
+
+
 def test_learn_timeout():
     rng = random.Random(3)
     ds = random_dataset(rng, k=16, m=60)
@@ -150,41 +160,19 @@ def test_learn_timeout():
 
 def test_learn_counts_the_seed_inside_the_budget(monkeypatch):
     ds = random_dataset(random.Random(3), k=6, m=20)
-    build = search.greedy_seed
+    walk = search.best_subset
 
-    def slow_seed(dataset, depth):
+    def slow_walk(dataset, depth, stop):
         time.sleep(0.05)
-        return build(dataset, depth)
+        return walk(dataset, depth, stop)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("the solver ran with no budget left")
 
-    monkeypatch.setattr(search, "greedy_seed", slow_seed)
+    monkeypatch.setattr(search, "best_subset", slow_walk)
     monkeypatch.setattr(search.solve, "maxsat_solve", no_solve)
     with pytest.raises(SolverTimeoutError):
         learn(ds, LearnConfig(depth=2, mode="maxsat", budget=0.04))
-
-
-def test_learn_returns_the_seed_when_the_budget_stops_the_descent(monkeypatch):
-    # above the subset cap the descent starts at the seed's cost 7; the
-    # optimum is 5
-    monkeypatch.setattr(search, "EXACT_SUBSET_CAP", 0)
-    ds = random_dataset(random.Random(23), k=6, m=30)
-    seed = greedy_seed(ds, 3)
-    descend = solve.maxsat_solve
-
-    def out_of_budget(formula, budget, **kwargs):
-        assert kwargs["upper"] == seed.cost
-        res = descend(formula, budget=-1.0, **kwargs)
-        assert res.status == solve.TIMEOUT_NO_SOLUTION and res.model is None
-        return res
-
-    monkeypatch.setattr(search.solve, "maxsat_solve", out_of_budget)
-    model = learn(ds, LearnConfig(depth=3, mode="maxsat", bias="S", budget=60))
-    assert not model.optimal
-    assert model.ordering == seed.ordering
-    assert model.solver_stats["cost"] == seed.cost == model.solver_stats["seed_cost"]
-    assert round((1 - model.train_accuracy) * ds.m) == seed.cost
 
 
 def _optimal_erring_seeds(rng, count):
@@ -192,7 +180,7 @@ def _optimal_erring_seeds(rng, count):
     found = []
     while len(found) < count:
         ds = random_dataset(rng, k=4, m=12)
-        cost = greedy_seed(ds, 2).cost
+        cost = greedy_classifier(ds, 2)[2]
         if cost and cost == best_split_error(ds, 2):
             found.append(ds)
     return found
@@ -201,23 +189,24 @@ def _optimal_erring_seeds(rng, count):
 def test_an_optimal_erring_seed_costs_one_sat_call(monkeypatch):
     built = _count_solvers(monkeypatch)
     for ds in _optimal_erring_seeds(random.Random(37), 3):
-        seed = greedy_seed(ds, 2)
+        ordering, _, cost = greedy_classifier(ds, 2)
         built.clear()
         model = learn(ds, LearnConfig(depth=2, mode="maxsat", budget=60))
         assert model.optimal
         assert model.solver_stats["iterations"] == 1 == len(built)
-        assert model.solver_stats["cost"] == seed.cost
-        assert model.ordering == seed.ordering
+        assert model.solver_stats["cost"] == cost
+        assert model.ordering == ordering
 
 
 def test_a_seed_that_misreports_its_cost_is_an_internal_error(monkeypatch):
     # the seed's table errs on ``cost`` rows, the optimum; claiming one
     # fewer, nothing beats the claim, and the row count catches it
     for ds in _optimal_erring_seeds(random.Random(41), 2):
-        seed = greedy_seed(ds, 2)
-        lying = search.GreedySeed(seed.ordering, seed.table, seed.cost - 1)
+        walk = search.best_subset(ds, 2)
+        best = walk.best
+        lying = replace(walk, best=replace(best, cost=best.cost - 1))
         with monkeypatch.context() as m:
-            m.setattr(search, "greedy_seed", lambda d, h: lying)
+            m.setattr(search, "best_subset", lambda *args: lying)
             with pytest.raises(
                 RuntimeError, match="internal error: model fails hard-clause check"
             ):
@@ -233,46 +222,12 @@ def test_learn_short_budget_on_a_large_dataset_is_feasible():
     assert round((1 - model.train_accuracy) * ds.m) == cost
 
 
-def test_learn_sorts_the_tail_of_descended_optima(monkeypatch):
-    # above the subset cap; under it the incumbent is the optimum and
-    # nothing descends
-    monkeypatch.setattr(search, "EXACT_SUBSET_CAP", 0)
-    rng = random.Random(31)
-    descended = 0
-    for i in range(32):
-        depth = 3 + i % 2
-        ds = random_dataset(rng, k=rng.randint(depth, 6), m=rng.randint(10, 24))
-        model = learn(ds, LearnConfig(depth=depth, mode="maxsat", budget=120))
-        assert model.optimal
-        assert model.solver_stats["cost"] == best_split_error(ds, depth)
-        if model.solver_stats["iterations"] > 1:  # a bounded call was SAT
-            descended += 1
-            tail = model.ordering[1:]
-            assert all(x < y for x, y in zip(tail, tail[1:]))
-    assert descended >= 3
-
-
-def test_one_descent_through_learn_is_pinned(monkeypatch):
-    # above the subset cap the embedded descent runs from the greedy seed
-    # on the formula with its tail-order clauses; the counters pin the
-    # clause list every call gets, in order
-    monkeypatch.setattr(search, "EXACT_SUBSET_CAP", 0)
-    ds = random_dataset(random.Random(5), k=6, m=24)
-    model = learn(ds, LearnConfig(depth=3, mode="maxsat", budget=60))
-    assert (model.ordering, model.table.cells) == ((4, 1, 5), "01011001")
-    stats = model.solver_stats
-    assert model.optimal
-    assert (stats["cost"], stats["seed_cost"], stats["iterations"]) == (3, 4, 2)
-    counters = (stats["conflicts"], stats["decisions"], stats["propagations"])
-    assert counters == (278, 377, 17_388)
-
-
 def _suboptimal_seeds(rng, count, k, m, depth):
     """Datasets whose greedy classifier errs more than the optimum."""
     found = []
     while len(found) < count:
         ds = random_dataset(rng, k=k, m=m)
-        if greedy_seed(ds, depth).cost > best_split_error(ds, depth):
+        if greedy_classifier(ds, depth)[2] > best_split_error(ds, depth):
             found.append(ds)
     return found
 
@@ -311,7 +266,7 @@ def test_a_budget_stop_returns_the_exact_optimum():
     model = learn(ds, LearnConfig(depth=3, mode="maxsat", budget=2))
     cost = model.solver_stats["cost"]
     assert cost == best_split_error(ds, 3) == 35
-    assert model.solver_stats["seed_cost"] == greedy_seed(ds, 3).cost > cost
+    assert model.solver_stats["seed_cost"] == greedy_classifier(ds, 3)[2] > cost
     assert round((1 - model.train_accuracy) * ds.m) == cost
 
 
@@ -322,41 +277,62 @@ def test_a_solver_model_below_the_walk_is_an_internal_error(monkeypatch):
     walk = search.best_subset
 
     def off_by_one(*args):
-        best, core = walk(*args)
-        return search.GreedySeed(best.ordering, best.table, best.cost + 1), core
+        found = walk(*args)
+        return replace(found, best=replace(found.best, cost=found.best.cost + 1))
 
     monkeypatch.setattr(search, "best_subset", off_by_one)
     with pytest.raises(RuntimeError, match="the solver beat the subset walk"):
         learn(ds, LearnConfig(depth=2, mode="maxsat", budget=60))
 
 
-def test_a_budget_spent_inside_the_walk_returns_the_greedy_classifier(monkeypatch):
-    # MaxSAT mode keeps an anytime model: the walk's tick raises after
-    # five features, and the greedy classifier comes back without a solver
+def _stop_after(asks: int):
+    """A walk's ``stop`` that lets ``asks`` features be tried, then stops."""
+    left = iter(range(asks))
+    return lambda: next(left, None) is None
+
+
+def test_a_budget_spent_inside_the_walk_returns_its_best_leaf(monkeypatch):
+    # MaxSAT mode keeps an anytime model: the walk stops after five
+    # features, past its first leaf, the greedy classifier, and its best
+    # leaf so far comes back without a solver
     ds = random_dataset(random.Random(1), k=16, m=120)
-    seed = greedy_seed(ds, 3)
+    ordering, cells, greedy_cost = greedy_classifier(ds, 3)
     walk = search.best_subset
 
-    def stopped(dataset, depth, tick):
-        ticks = []
-
-        def stop_tick():
-            ticks.append(1)
-            if len(ticks) > 5:
-                raise SolverTimeoutError("stopped in the walk")
-            tick()
-
-        return walk(dataset, depth, stop_tick)
+    def stopped(dataset, depth, stop):
+        return walk(dataset, depth, _stop_after(5))
 
     monkeypatch.setattr(search, "best_subset", stopped)
     _no_solver(monkeypatch)
     model = learn(ds, LearnConfig(depth=3, mode="maxsat", budget=60))
     assert not model.optimal
-    assert (model.ordering, model.table) == (seed.ordering, seed.table)
     stats = model.solver_stats
-    assert stats["cost"] == stats["seed_cost"] == seed.cost
+    assert best_split_error(ds, 3) < stats["cost"] <= stats["seed_cost"] == greedy_cost
     assert stats["iterations"] == 0
-    assert round((1 - model.train_accuracy) * ds.m) == seed.cost
+    assert round((1 - model.train_accuracy) * ds.m) == stats["cost"]
+    first = walk(ds, 3, _stop_after(3))  # stopped at its first leaf
+    assert first.core is None
+    assert (first.best.ordering, first.best.table.cells) == (ordering, cells)
+
+
+def test_a_budget_spent_after_the_walk_returns_its_optimum(monkeypatch):
+    # the walk finishes; the encoding of the proof formula then outlasts
+    # the budget, and the walk's optimum comes back, not proven, without
+    # a solver
+    ds = random_dataset(random.Random(1), k=16, m=120)
+    encode_fn = search.encode.encode_maxsat
+
+    def slow_encode(*args):
+        time.sleep(0.5)
+        return encode_fn(*args)
+
+    monkeypatch.setattr(search.encode, "encode_maxsat", slow_encode)
+    built = _count_solvers(monkeypatch)
+    model = learn(ds, LearnConfig(depth=3, mode="maxsat", budget=0.5))
+    assert not model.optimal
+    assert model.solver_stats["cost"] == best_split_error(ds, 3) == 35
+    assert round((1 - model.train_accuracy) * ds.m) == 35
+    assert model.solver_stats["iterations"] == 0 == len(built)
 
 
 @settings(max_examples=80, deadline=None)
@@ -368,7 +344,7 @@ def test_the_walk_finds_the_oracle_optimum(depth, k, m, data):
     labels = data.draw(st.lists(bit, min_size=m, max_size=m))
     assume(len(set(labels)) == 2)
     ds = dataset_from_bits(rows, labels)
-    best, _ = search.best_subset(ds, depth)
+    best = search.best_subset(ds, depth).best
     assert best.cost == best_split_error(ds, depth)
     search._check_witness(ds, best, depth)  # distinct features, a bead, its cost
 
@@ -378,27 +354,27 @@ def test_learn_reports_the_seed_cost():
     for _ in range(4):
         ds = random_dataset(rng, k=5, m=20)
         model = learn(ds, LearnConfig(depth=2, mode="maxsat", budget=120))
-        assert model.solver_stats["seed_cost"] == greedy_seed(ds, 2).cost
+        assert model.solver_stats["seed_cost"] == greedy_classifier(ds, 2)[2]
         assert model.solver_stats["seed_cost"] >= model.solver_stats["cost"]
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 24), st.data())
-def test_greedy_seed_is_a_bead_with_its_reported_cost(depth, k, m, data):
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(2, 24), st.data())
+def test_the_first_leaf_is_the_greedy_classifier(depth, k, m, data):
+    # the walk stopped after one feature per level holds its first leaf
     k = max(k, depth)
     bit = st.integers(0, 1)
     rows = data.draw(st.lists(st.tuples(*[bit] * k), min_size=m, max_size=m))
     labels = data.draw(st.lists(bit, min_size=m, max_size=m))
+    assume(len(set(labels)) == 2)
     ds = dataset_from_bits(rows, labels)
-    seed = greedy_seed(ds, depth)
-    assert len(set(seed.ordering)) == depth
-    cells = seed.table.cells
-    half = len(cells) // 2
-    assert cells[:half] != cells[half:]
-    pos, neg = route_counts(ds, seed.ordering, len(cells))
-    errors = sum(n if ch == "1" else p for ch, p, n in zip(cells, pos, neg))
-    assert errors == seed.cost
-    assert seed.cost >= best_split_error(ds, depth)
+    ordering, cells, cost = greedy_classifier(ds, depth)
+    first = search.best_subset(ds, depth, _stop_after(depth))
+    assert (first.best.ordering, first.best.table.cells) == (ordering, cells)
+    assert first.best.cost == first.first_cost == cost
+    search._check_witness(ds, first.best, depth)  # distinct features, a bead, its cost
+    walk = search.best_subset(ds, depth)
+    assert walk.first_cost == cost >= walk.best.cost == best_split_error(ds, depth)
 
 
 @settings(max_examples=80, deadline=None)
@@ -580,12 +556,13 @@ def _no_solver(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["sat", "maxsat"])
 def test_a_perfect_seed_is_returned_without_a_solver(monkeypatch, demo8, mode):
-    assert greedy_seed(demo8, 2).cost == 0
+    ordering, _, cost = greedy_classifier(demo8, 2)
+    assert cost == 0
     _no_solver(monkeypatch)
     model = learn(demo8, LearnConfig(depth=2, mode=mode, budget=60))
     assert model.optimal
     assert model.train_accuracy == 1.0
-    assert model.ordering == greedy_seed(demo8, 2).ordering
+    assert model.ordering == ordering
     stats = model.solver_stats
     counters = ("decisions", "conflicts", "propagations", "restarts", "learned_deleted")
     assert all(stats[key] == 0 for key in counters)
@@ -607,24 +584,6 @@ def _count_solvers(monkeypatch) -> list:
     return built
 
 
-# SAT mode: test_the_subset_search_answers_when_the_seed_errs
-@pytest.mark.parametrize("mode", ["maxsat"])
-def test_the_solver_still_runs_when_the_seed_errs(monkeypatch, mode):
-    # on f1 xor f2 every single feature errs on half the rows, so the
-    # greedy classifier opens with f0 and errs on four rows at depth 2;
-    # above the subset cap the solver descends from there
-    monkeypatch.setattr(search, "EXACT_SUBSET_CAP", 0)
-    ds = cube_dataset(lambda r: r[1] ^ r[2])
-    assert greedy_seed(ds, 2).cost == 4
-    built = _count_solvers(monkeypatch)
-    model = learn(ds, LearnConfig(depth=2, mode=mode, budget=60))
-    assert built
-    assert model.optimal
-    assert model.train_accuracy == 1.0
-    assert sorted(model.ordering) == [1, 2]
-    assert model.solver_stats["seed_cost"] == 4
-
-
 @pytest.mark.parametrize(
     "ordering, cells",
     [
@@ -640,16 +599,15 @@ def test_a_false_zero_cost_seed_is_an_internal_error(
     # labels are f1; each seed above claims cost 0 and breaks exactly one
     # of the witness checks
     ds = cube_dataset(lambda r: r[1])
-    lying = search.GreedySeed(ordering, TruthTable(cells), 0)
-    monkeypatch.setattr(search, "greedy_seed", lambda d, h: lying)
+    lying = search.Walk(search.Leaf(ordering, TruthTable(cells), 0), 0, ())
+    monkeypatch.setattr(search, "best_subset", lambda *args: lying)
     with pytest.raises(RuntimeError, match="internal error"):
         learn(ds, LearnConfig(depth=2, mode=mode, budget=60))
 
 
-def test_maxsat_witness_matches_the_solver_on_separable_data(monkeypatch):
-    # with the seed's cost hidden as 1 and the subset walk off, one SAT
-    # call under the bound 0 finds a perfect model of its own; the witness
-    # skips that call
+def test_maxsat_witness_matches_the_solver_on_separable_data():
+    # the solver finds a perfect model of each formula; the witness, the
+    # perfect greedy classifier, answers with no solver call
     rng = random.Random(5)
     witnessed = 0
     for i in range(12):
@@ -659,23 +617,17 @@ def test_maxsat_witness_matches_the_solver_on_separable_data(monkeypatch):
         rule = rng.choice(["0001", "0111", "0110", "1000", "0010", "1011"])
         rows = [tuple(rng.randint(0, 1) for _ in range(6)) for _ in range(20)]
         ds = dataset_from_bits(rows, [int(rule[2 * r[f] + r[g]]) for r in rows])
-        seed = greedy_seed(ds, depth)
-        if seed.cost:
+        ordering, _, cost = greedy_classifier(ds, depth)
+        if cost:
             continue
         witnessed += 1
-        cfg = LearnConfig(depth=depth, mode="maxsat", bias="S", budget=60)
-        fast = learn(ds, cfg)
-        hidden = search.GreedySeed(seed.ordering, seed.table, 1)
-        with monkeypatch.context() as m:
-            m.setattr(search, "greedy_seed", lambda d, h: hidden)
-            m.setattr(search, "EXACT_SUBSET_CAP", 0)
-            slow = learn(ds, cfg)
-        assert fast.solver_stats["iterations"] == 0
-        assert fast.ordering == seed.ordering
-        assert slow.solver_stats["iterations"] == 1
-        for model in (fast, slow):
-            assert model.optimal and model.solver_stats["cost"] == 0
-            assert model.train_accuracy == 1.0
+        formula, _ = search.encode.encode_maxsat(ds, depth)
+        assert solve.maxsat_solve(formula, budget=60).cost == 0
+        model = learn(ds, LearnConfig(depth=depth, mode="maxsat", bias="S", budget=60))
+        assert model.solver_stats["iterations"] == 0
+        assert model.ordering == ordering
+        assert model.optimal and model.solver_stats["cost"] == 0
+        assert model.train_accuracy == 1.0
     assert witnessed >= 3
 
 
@@ -703,7 +655,7 @@ def test_the_subset_search_answers_when_the_seed_errs(monkeypatch):
     # the greedy classifier errs on f1 xor f2; the subset search finds
     # {f1, f2}, roots it at f1, and no solver is built, in either mode
     ds = cube_dataset(lambda r: r[1] ^ r[2])
-    assert greedy_seed(ds, 2).cost == 4
+    assert greedy_classifier(ds, 2)[2] == 4
     _no_solver(monkeypatch)
     for mode in ("sat", "maxsat"):
         model = learn(ds, LearnConfig(depth=2, mode=mode, budget=60))
@@ -729,7 +681,7 @@ def test_with_no_perfect_subset_the_solver_proves_unsat(monkeypatch):
     built = _count_solvers(monkeypatch)
     with pytest.raises(DepthInsufficientError):
         learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
-    assert [core for _, core in searched] == [(0, 1, 2, 4)]  # the walk's row core
+    assert [walk.core for walk in searched] == [(0, 1, 2, 4)]  # the walk's row core
     assert built
 
 
@@ -738,26 +690,11 @@ def test_a_sat_answer_after_a_complete_search_is_an_internal_error(monkeypatch):
     # the greedy classifier as its best and every row as its core, left the
     # solver to find the model it missed
     ds = cube_dataset(lambda r: r[1] ^ r[2])
-    erring = (greedy_seed(ds, 2), tuple(range(ds.m)))
+    ordering, cells, cost = greedy_classifier(ds, 2)
+    leaf = search.Leaf(ordering, TruthTable(cells), cost)
+    erring = search.Walk(leaf, cost, tuple(range(ds.m)))
     monkeypatch.setattr(search, "best_subset", lambda *args: erring)
     with pytest.raises(RuntimeError, match="internal error"):
-        learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
-
-
-def test_above_the_cap_no_subset_search_runs(monkeypatch):
-    ds = cube_dataset(lambda r: r[1] ^ r[2])  # C(3, 2) = 3 subsets
-
-    def refuse(*args):
-        raise AssertionError("the subset search ran")
-
-    monkeypatch.setattr(search, "best_subset", refuse)
-    monkeypatch.setattr(search, "EXACT_SUBSET_CAP", 2)
-    built = _count_solvers(monkeypatch)
-    model = learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
-    assert built
-    assert model.train_accuracy == 1.0
-    monkeypatch.setattr(search, "EXACT_SUBSET_CAP", 3)
-    with pytest.raises(AssertionError, match="subset search ran"):
         learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
 
 
@@ -767,12 +704,12 @@ def test_a_budget_spent_inside_the_subset_search_times_out(monkeypatch):
     ds = cube_dataset(lambda r: r[1] ^ r[2])
     search_fn = search.best_subset
 
-    def slow(dataset, depth, tick):
-        def slow_tick():
+    def slow(dataset, depth, stop):
+        def slow_stop():
             time.sleep(0.1)
-            tick()
+            return stop()
 
-        return search_fn(dataset, depth, slow_tick)
+        return search_fn(dataset, depth, slow_stop)
 
     monkeypatch.setattr(search, "best_subset", slow)
     _no_solver(monkeypatch)
@@ -820,15 +757,61 @@ def test_sat_learn_is_perfect_exactly_when_the_oracle_errs_nowhere(
         assert result.depth == 1 or result.unsat_depth == result.depth - 1
 
 
+def _planted_parity(flips: int):
+    """64 random rows of 70 features, labelled by the parity of three of
+    them with ``flips`` labels flipped: C(70, 3) = 54,740 subsets."""
+    rng = random.Random(0)
+    rows = [tuple(rng.randint(0, 1) for _ in range(70)) for _ in range(64)]
+    planted = sorted(rng.sample(range(70), 3))
+    labels = [row[planted[0]] ^ row[planted[1]] ^ row[planted[2]] for row in rows]
+    for q in rng.sample(range(64), flips):
+        labels[q] ^= 1
+    return dataset_from_bits(rows, labels), planted
+
+
+def test_a_planted_parity_among_70_features_is_found_without_a_solver(monkeypatch):
+    ds, planted = _planted_parity(0)
+    _no_solver(monkeypatch)
+    model = learn(ds, LearnConfig(depth=3, mode="sat", budget=60))
+    assert sorted(model.ordering) == planted
+    assert model.optimal and model.train_accuracy == 1.0
+
+
+def test_a_noisy_planted_parity_costs_its_flipped_labels(monkeypatch):
+    # the whole walk finds the planted features at the three flipped
+    # labels; the solver is asked only to prove that optimum, here with no
+    # budget to do it
+    ds, planted = _planted_parity(3)
+    descend = solve.maxsat_solve
+    uppers = []
+
+    def out_of_budget(formula, budget, **kwargs):
+        uppers.append(kwargs["upper"])
+        return descend(formula, budget=-1.0, **kwargs)
+
+    monkeypatch.setattr(search.solve, "maxsat_solve", out_of_budget)
+    model = learn(ds, LearnConfig(depth=3, mode="maxsat", budget=60))
+    assert uppers == [3] == [model.solver_stats["cost"]]
+    assert sorted(model.ordering) == planted
+    assert not model.optimal
+    assert round((1 - model.train_accuracy) * ds.m) == 3
+
+
 def test_perfect_subset_roots_at_a_feature_the_table_reads():
-    # labels are f2: the first perfect subset is {f0, f2}, whose table
-    # ignores f0, so f2 becomes the root and f0 the tail
-    found, core = search.best_subset(cube_dataset(lambda r: r[2]), 2)
+    # labels are f2: f2 is picked first, and its first extension, f0, is
+    # perfect; the table ignores f0, which stays in the tail
+    walk = search.best_subset(cube_dataset(lambda r: r[2]), 2)
+    found = walk.best
     assert (found.ordering, found.table.cells, found.cost) == ((2, 0), "0011", 0)
-    assert core == ()
+    assert walk.core == ()
     rows = [tuple((a >> s) & 1 for s in range(4)) for a in range(16)]
-    found, _ = search.best_subset(dataset_from_bits(rows, [r[3] for r in rows]), 3)
-    assert found.ordering == (3, 0, 1)  # a sorted tail
+    found = search.best_subset(dataset_from_bits(rows, [r[3] for r in rows]), 3).best
+    assert found.ordering == (3, 0, 1)  # the tail in pick order
+    # f0 and f1 each err on one row, so f0 is picked first, on the lower
+    # index; the majority table of (f0, f1) reads only f1, the new root
+    ds = dataset_from_bits([(1, 0), (1, 1), (1, 0), (0, 1)], [0, 1, 1, 1])
+    found = search.best_subset(ds, 2).best
+    assert (found.ordering, found.table.cells, found.cost) == ((1, 0), "0011", 1)
 
 
 def test_with_no_perfect_subset_the_walk_returns_a_row_core():
@@ -836,9 +819,9 @@ def test_with_no_perfect_subset_the_walk_returns_a_row_core():
     # 0 and 2, and {f1, f2} finds row 0 with no core partner, so adds 4;
     # every pair errs on half the rows
     ds = cube_dataset(lambda r: r[0] ^ r[1] ^ r[2])
-    best, core = search.best_subset(ds, 2)
-    assert core == (0, 1, 2, 4)
-    assert best.cost == 4
+    walk = search.best_subset(ds, 2)
+    assert walk.core == (0, 1, 2, 4)
+    assert walk.best.cost == 4
 
 
 @settings(max_examples=80, deadline=None)
@@ -852,7 +835,8 @@ def test_a_row_core_admits_no_perfect_classifier(k, m, depth, data):
     truth = {row: data.draw(bit) for row in sorted(set(rows))}
     ds = dataset_from_bits(rows, [truth[row] for row in rows])
     assume(len(set(ds.labels)) == 2)
-    best, found = search.best_subset(ds, depth)
+    walk = search.best_subset(ds, depth)
+    best, found = walk.best, walk.core
     if best.cost == 0:
         assert best_split_error(ds, depth) == 0
         assert found == ()
@@ -866,7 +850,7 @@ def test_the_certificate_refutes_the_core_rows_only(monkeypatch):
     # no single feature classifies this data; the solver's UNSAT answer is
     # on a formula with d variables for the core rows and no others
     ds = random_dataset(random.Random(4), k=6, m=40, consistent=True)
-    _, core = search.best_subset(ds, 1)
+    core = search.best_subset(ds, 1).core
     assert len(core) < ds.m
     encoded, answers = [], []
     encode_fn, solve_fn = search.encode.encode_bdd2, search.solve.sat_solve
