@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, TextIO
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 
 class FormulaError(ValueError):
@@ -205,25 +205,31 @@ def soft_unit_repair(
 # DIMACS
 
 
-# clauses per write, which bounds the text held at once
+# Each chunk of clauses is written by one ``%`` format: the chunk's line
+# templates, joined, applied to all of its literals at once.
+# ``_EMIT_CHUNK`` clauses per write bounds the text held at once.
 _EMIT_CHUNK = 4096
 
 
-class _LiteralNames(dict):
-    """``str(lit)`` for every literal, built once for ``-n..n``."""
+class _LineTemplates(dict):
+    """``prefix + "%d " * n + "0\\n"`` for each clause length ``n``, built once."""
 
-    def __init__(self, n: int):
-        super().__init__((lit, str(lit)) for lit in range(-n, n + 1))
+    def __init__(self, prefix: str):
+        super().__init__()
+        self.prefix = prefix
 
-    def __missing__(self, lit: int) -> str:
-        return str(lit)
+    def __missing__(self, n: int) -> str:
+        line = self[n] = self.prefix + "%d " * n + "0\n"
+        return line
 
 
-def _write_clause_lines(out: TextIO, lines: Iterable[str]) -> None:
-    """Write each line followed by `` 0`` and a newline, one chunk per write."""
-    lines = iter(lines)
-    while chunk := list(itertools.islice(lines, _EMIT_CHUNK)):
-        out.write(" 0\n".join(chunk) + " 0\n")
+def _write_clauses(out: TextIO, clauses: Iterable[Sequence[int]], prefix: str = "") -> None:
+    """Write each clause as one line: ``prefix``, its literals, then `` 0``."""
+    line = _LineTemplates(prefix).__getitem__
+    clauses = iter(clauses)
+    while chunk := list(itertools.islice(clauses, _EMIT_CHUNK)):
+        text = "".join(map(line, map(len, chunk)))
+        out.write(text % tuple(itertools.chain.from_iterable(chunk)))
 
 
 def emit_dimacs_cnf(formula: Formula, out: TextIO) -> None:
@@ -231,27 +237,21 @@ def emit_dimacs_cnf(formula: Formula, out: TextIO) -> None:
     if formula.soft:
         raise FormulaError("formula has soft clauses; emit WCNF instead")
     out.write(f"p cnf {formula.var_count} {len(formula.hard)}\n")
-    name = _LiteralNames(formula.var_count).__getitem__
-    _write_clause_lines(out, (" ".join(map(name, c)) for c in formula.hard))
+    _write_clauses(out, formula.hard)
 
 
 def emit_dimacs_wcnf(formula: Formula, out: TextIO) -> None:
     """Write ``formula`` in classic weighted DIMACS with a top weight.
 
     The top weight marking hard clauses is ``1 + sum of soft weights``.
+    Hard clauses come first, each prefixed by the top weight, then the
+    soft clauses, each prefixed by its own weight.
     """
     top = 1 + sum(w for _, w in formula.soft)
     n_clauses = len(formula.hard) + len(formula.soft)
     out.write(f"p wcnf {formula.var_count} {n_clauses} {top}\n")
-    name = _LiteralNames(formula.var_count).__getitem__
-    hard = f"{top} "
-    _write_clause_lines(
-        out,
-        itertools.chain(
-            (hard + " ".join(map(name, c)) for c in formula.hard),
-            (f"{w} " + " ".join(map(name, c)) for c, w in formula.soft),
-        ),
-    )
+    _write_clauses(out, formula.hard, f"{top} ")
+    _write_clauses(out, ((w, *c) for c, w in formula.soft))
 
 
 def dimacs_cnf(formula: Formula) -> str:

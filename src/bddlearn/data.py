@@ -42,6 +42,8 @@ class RawTable:
 class Dataset:
     """Binary feature matrix with binary labels.
 
+    Every cell and label is the integer 0 or 1; a bool counts as one.
+
     ``feature_specs`` records how each feature was derived from the raw
     table as ``(source column, indicator value)`` pairs so a test set can
     be bound to the same feature space later; it is empty for datasets
@@ -63,12 +65,11 @@ class Dataset:
         k = len(self.feature_names)
         if len(self.labels) != len(self.features):
             raise DataError("labels and feature rows disagree in length")
-        for row in self.features:
-            if len(row) != k:
-                raise DataError("feature matrix is not rectangular")
-            if any(bit not in (0, 1) for bit in row):
-                raise DataError("feature cells must be 0 or 1")
-        if any(label not in (0, 1) for label in self.labels):
+        if any(len(row) != k for row in self.features):
+            raise DataError("feature matrix is not rectangular")
+        if not _are_bits(self.features):
+            raise DataError("feature cells must be 0 or 1")
+        if not _are_bits((self.labels,)):
             raise DataError("labels must be 0 or 1")
         if self.feature_specs and len(self.feature_specs) != k:
             raise DataError("feature_specs length must match feature count")
@@ -129,9 +130,24 @@ class Dataset:
         )
 
 
+# byte 0 or 1 to its binary digit
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _are_bits(rows: Iterable[Iterable[int]]) -> bool:
+    """Whether every cell is an integer 0 or 1, as :func:`_bits` reads it.
+
+    A bool counts as an integer; a float, a string or a list does not.
+    """
+    try:
+        return not b"".join(map(bytes, rows)).translate(None, b"\0\1")
+    except (TypeError, ValueError):  # not an integer, or not a byte
+        return False
+
+
 def _bits(values: Sequence[int]) -> int:
     # row q is bit q, so the first row is the last digit
-    return int("0" + "".join(map(str, values))[::-1], 2)
+    return int(b"0" + bytes(values[::-1]).translate(_DIGITS), 2)
 
 
 def dataset_from_bits(

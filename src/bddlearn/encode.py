@@ -238,8 +238,7 @@ def encode_bdd2(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingCont
     formula, ctx = _new_context(dataset, depth, BDD2)
     _structural_constraints(formula, ctx)
     _feature_value_links(formula, ctx, dataset)
-    for clause in _classification_clauses(ctx, dataset):
-        formula.add_hard(clause)
+    formula.add_hard_clauses(list(_classification_clauses(ctx, dataset)))
     return formula, ctx
 
 
@@ -296,10 +295,10 @@ def encode_maxsat(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingCo
     _structural_constraints(formula, ctx)
     _feature_value_links(formula, ctx, dataset)
     errors = [formula.fresh_var() for _ in range(dataset.m)]
-    n_cells = 1 << depth
-    for idx, clause in enumerate(_classification_clauses(ctx, dataset)):
-        clause.append(errors[idx // n_cells])
-        formula.add_hard(clause)
+    clauses = list(_classification_clauses(ctx, dataset))
+    for idx, clause in enumerate(clauses):  # 2**depth clauses per example
+        clause.append(errors[idx >> depth])
+    formula.add_hard_clauses(clauses)
     for e in errors:
         formula.add_soft([-e])
     return formula, ctx

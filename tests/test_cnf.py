@@ -1,12 +1,13 @@
 import io
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bddlearn import cnf
-from oracles import projected_models, random_formula
+from bddlearn import cnf, encode
+from oracles import projected_models, random_dataset, random_formula
 
 
 def test_fresh_var_counts_up():
@@ -226,6 +227,43 @@ def test_emission_matches_a_line_by_line_writer(seed, n_soft, chunk):
         for size in (chunk, default):  # many chunks, then one
             cnf._EMIT_CHUNK = size
             assert (cnf.dimacs_cnf(hard), cnf.dimacs_wcnf(weighted)) == expected
+    finally:
+        cnf._EMIT_CHUNK = default
+
+
+def _encoded(encoder, tail=False):
+    ds = random_dataset(random.Random(2), k=5, m=12, consistent=True)
+    formula, ctx = encoder(ds, 3)
+    if tail:
+        formula.add_hard_clauses(encode.ordered_tail(ctx))
+    return formula
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        _encoded(encode.encode_bdd1),
+        _encoded(encode.encode_bdd2),
+        _encoded(encode.encode_maxsat),
+        _encoded(encode.encode_maxsat, tail=True),
+    ],
+    ids=["bdd1", "bdd2", "maxsat", "maxsat-tail"],
+)
+def test_emission_of_encoded_formulas_matches_a_line_by_line_writer(formula):
+    # the longest run of equal-length hard clauses ends at clause `end`, where
+    # another run starts: a chunk of `end` clauses ends between two runs, and
+    # one of `end - 1` inside a run
+    runs = [len(list(g)) for _, g in itertools.groupby(map(len, formula.hard))]
+    longest = runs.index(max(runs))
+    end = sum(runs[: longest + 1])
+    assert runs[longest] > 1 and longest + 1 < len(runs)
+    default = cnf._EMIT_CHUNK
+    try:
+        for size in (end, end - 1, 1, 7, default):
+            cnf._EMIT_CHUNK = size
+            assert cnf.dimacs_wcnf(formula) == _line_by_line_wcnf(formula)
+            if not formula.soft:
+                assert cnf.dimacs_cnf(formula) == _line_by_line_cnf(formula)
     finally:
         cnf._EMIT_CHUNK = default
 

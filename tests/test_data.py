@@ -224,6 +224,20 @@ def test_dataset_validation():
         Dataset(features=((0, 1),), labels=(2,), feature_names=("a", "b"))
 
 
+@pytest.mark.parametrize("cell", [1.0, 0.0, "1", None, [1], 256, -1])
+def test_a_cell_the_bitsets_cannot_read_is_a_data_error(cell):
+    with pytest.raises(DataError, match="feature cells"):
+        Dataset(features=((0, cell),), labels=(0,), feature_names=("a", "b"))
+    with pytest.raises(DataError, match="labels"):
+        Dataset(features=((0, 1),), labels=(cell,), feature_names=("a", "b"))
+
+
+def test_bool_cells_read_as_bits():
+    rows, labels = [[True, False], [False, True], [True, True]], [True, False, False]
+    ds = dataset_from_bits(rows, labels)
+    assert (ds.column_bits, ds.label_bits) == ((0b101, 0b110), 0b001)
+
+
 def test_subset_and_restrict(demo8):
     sub = demo8.subset([0, 2, 4])
     assert sub.m == 3

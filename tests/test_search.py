@@ -2,6 +2,7 @@ import random
 import time
 from dataclasses import replace
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -151,11 +152,29 @@ def test_a_depth_above_the_feature_count_is_a_data_error(monkeypatch, mode, k):
         learn(ds, LearnConfig(depth=2, mode=mode, budget=60))
 
 
-def test_learn_timeout():
-    rng = random.Random(3)
-    ds = random_dataset(rng, k=16, m=60)
+def test_learn_timeout(monkeypatch):
+    # the clock reads 0 when the budget starts and 1 s on every later look,
+    # so the budget runs out before the walk tries its first feature
+    ticks = iter([0.0])
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks, 1.0)))
+    ds = random_dataset(random.Random(3), k=16, m=60)
     with pytest.raises(SolverTimeoutError):
-        learn(ds, LearnConfig(depth=4, mode="maxsat", budget=1e-4))
+        learn(ds, LearnConfig(depth=4, mode="maxsat", budget=0.5))
+
+
+@pytest.mark.parametrize("mode", ["sat", "maxsat"])
+def test_bool_cells_learn_the_model_of_their_int_twin(mode):
+    ds = parity_dataset() if mode == "sat" else random_dataset(random.Random(4), k=6, m=30)
+    as_bools = dataset_from_bits(
+        [list(map(bool, row)) for row in ds.features], list(map(bool, ds.labels))
+    )
+    cfg = LearnConfig(depth=3, mode=mode)
+
+    def untimed(model):
+        stats = {key: v for key, v in model.solver_stats.items() if key != "elapsed"}
+        return replace(model, solver_stats=stats)
+
+    assert untimed(learn(as_bools, cfg)) == untimed(learn(ds, cfg))
 
 
 def test_learn_counts_the_seed_inside_the_budget(monkeypatch):
