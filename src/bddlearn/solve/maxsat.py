@@ -111,11 +111,7 @@ def maxsat_solve(
         b = relaxed.fresh_var()
         relaxed.add_hard(clause + [b])
         relax.append(b)
-    repair = cnf.soft_unit_repair(formula)
-
-    def restrict(model: dict[int, int]) -> dict[int, int]:
-        # drop the auxiliary variables, then clear gratuitous soft failures
-        return repair({v: model[v] for v in range(1, orig_vars + 1)})
+    repair = None  # built on the first model: a proof call returns none
 
     best_model: dict[int, int] | None = None
     best_cost = len(relax) + 1 if upper is None else upper
@@ -130,7 +126,7 @@ def maxsat_solve(
         working.hard = list(relaxed.hard)
         if best_cost <= len(relax):  # a bound of len(relax) excludes nothing
             cnf.at_most_k(working, relax, best_cost - 1)
-            if expired():  # the counter takes long to build at a large bound
+            if expired():  # the bound's tree takes tens of ms at a large bound
                 return result(False)
         solver = CdclSolver(
             working.hard, working.var_count, seed=seed, deadline=deadline
@@ -148,7 +144,10 @@ def maxsat_solve(
         # concern, and the cost check below guards the bound
         if not cnf.verify_model(relaxed, res.model):
             raise RuntimeError("internal error: model fails hard-clause check")
-        model = restrict(res.model)
+        if repair is None:
+            repair = cnf.soft_unit_repair(formula)
+        # drop the auxiliary variables, then clear gratuitous soft failures
+        model = repair({v: res.model[v] for v in range(1, orig_vars + 1)})
         cost = cnf.falsified_soft_weight(formula, model)
         if cost >= best_cost:
             raise RuntimeError("internal error: descent failed to lower the cost")

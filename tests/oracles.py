@@ -71,6 +71,25 @@ def _dpll(clauses) -> bool:
     return _dpll(_assign(clauses, lit)) or _dpll(_assign(clauses, -lit))
 
 
+def unit_propagate(clauses, lits) -> set[int] | None:
+    """Every literal unit propagation derives from ``clauses`` with ``lits``
+    true, ``lits`` included; None when it falsifies a clause."""
+    implied: set[int] = set()
+    queue = list(lits) + [clause[0] for clause in clauses if len(clause) == 1]
+    while queue:
+        lit = queue.pop()
+        if lit in implied:
+            continue
+        if -lit in implied:
+            return None
+        implied.add(lit)
+        clauses = _assign(clauses, lit)
+        if not all(clauses):
+            return None
+        queue.extend(clause[0] for clause in clauses if len(clause) == 1)
+    return implied
+
+
 def projected_models(clauses, onto: list[int]) -> set[tuple[int, ...]]:
     """All assignments of ``onto`` extendable to a model of ``clauses``.
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddlearn import cnf, encode
-from oracles import projected_models, random_dataset, random_formula
+from oracles import projected_models, random_dataset, random_formula, unit_propagate
 
 
 def test_fresh_var_counts_up():
@@ -76,7 +76,9 @@ def test_at_most_k_zero_negates_everything():
 def test_at_most_two_of_four_exact_projection():
     f = cnf.Formula(4)
     cnf.at_most_k(f, [1, 2, 3, 4], 2)
-    assert f.var_count == 4 + 4 * 2  # one register per literal and bound slot
+    # a totalizer: two leaf pairs with two outputs each, and a root that
+    # keeps k + 1 = 3 outputs
+    assert f.var_count == 4 + 2 * 2 + 3
     models = _all_models(f, [1, 2, 3, 4])
     expected = {
         bits
@@ -86,23 +88,48 @@ def test_at_most_two_of_four_exact_projection():
     assert models == expected
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 5), st.data())
-def test_at_most_k_projection_property(n, data):
-    k = data.draw(st.integers(0, n))
-    f = cnf.Formula(n)
-    lits = [data.draw(st.sampled_from([v, -v])) for v in range(1, n + 1)]
-    cnf.at_most_k(f, lits, k)
-    models = _all_models(f, list(range(1, n + 1)))
-    expected = set()
-    for a in range(1 << n):
-        bits = tuple((a >> i) & 1 for i in range(n))
-        true_lits = sum(
-            1 for lit, bit in zip(lits, bits) if (lit > 0) == bool(bit)
-        )
-        if true_lits <= k:
-            expected.add(bits)
-    assert models == expected
+@settings(max_examples=3, deadline=None)
+@given(st.data())
+def test_at_most_k_projection_property(data):
+    for n in range(1, 9):  # trees over 3, 5, 6 and 7 literals split unevenly
+        lits = [data.draw(st.sampled_from([v, -v])) for v in range(1, n + 1)]
+        for k in range(n + 1):
+            f = cnf.Formula(n)
+            cnf.at_most_k(f, lits, k)
+            models = _all_models(f, list(range(1, n + 1)))
+            expected = set()
+            for a in range(1 << n):
+                bits = tuple((a >> i) & 1 for i in range(n))
+                true_lits = sum(
+                    1 for lit, bit in zip(lits, bits) if (lit > 0) == bool(bit)
+                )
+                if true_lits <= k:
+                    expected.add(bits)
+            assert models == expected, (lits, k)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_at_most_k_propagates_every_other_literal_false(n):
+    # the solver sees the bound only through propagation: once k literals
+    # are true, the others must follow false with no decision
+    lits = [v if v % 3 else -v for v in range(1, n + 1)]
+    for k in range(1, n):
+        f = cnf.Formula(n)
+        cnf.at_most_k(f, lits, k)
+        for chosen in itertools.combinations(lits, k):
+            implied = unit_propagate(f.hard, chosen)
+            assert implied is not None, (k, chosen)
+            assert {-x for x in lits if x not in chosen} <= implied, (k, chosen)
+
+
+def test_at_most_k_memory_ceiling_at_a_large_bound():
+    # the MaxSAT bound of a (500, 40, 3) learn: one relaxation literal per
+    # example, at most 198 of them false; a sequential counter takes
+    # 99,000 variables and 198,301 clauses here
+    f = cnf.Formula(500)
+    lits = [v if v % 2 else -v for v in range(1, 501)]
+    cnf.at_most_k(f, lits, 198)
+    assert (f.var_count - 500, len(f.hard)) == (4085, 83686)
 
 
 def test_exactly_one_single_literal():

@@ -122,7 +122,9 @@ def test_search_trajectory_is_pinned():
     res = maxsat_solve(formula, budget=60)
     st = res.stats
     assert (res.cost, res.iterations) == (5, 11)
-    assert (st.conflicts, st.decisions, st.propagations) == (1403, 2324, 123539)
+    # unlike the pigeonhole pins, these counts also follow the encoding of
+    # the cost bound (cnf.at_most_k), not only the solver
+    assert (st.conflicts, st.decisions, st.propagations) == (1979, 2901, 137706)
 
 
 def _wide_probe(seed: int):
@@ -255,17 +257,28 @@ def test_maxsat_cost_matches_model_recount():
         assert res.cost == best
 
 
-def test_an_optimal_upper_bound_needs_one_call():
-    # nothing beats the optimum, so the one call is the UNSAT proof
+def test_an_optimal_upper_bound_needs_one_call(monkeypatch):
+    # nothing beats the optimum, so the one call is the UNSAT proof, and
+    # with no model to repair it builds no soft-unit repairer
+    soft_unit_repair, repairers = cnf.soft_unit_repair, []
+
+    def counting_repair(formula):
+        repairers.append(1)
+        return soft_unit_repair(formula)
+
+    monkeypatch.setattr(cnf, "soft_unit_repair", counting_repair)
     rng = random.Random(13)
     for _ in range(3):
         formula, _ctx = encode_maxsat(random_dataset(rng, k=4, m=12), 2)
         plain = maxsat_solve(formula, budget=60)
         assert plain.status == OPTIMUM and plain.cost > 0
+        assert len(repairers) == 1  # one repairer serves every model
         bounded = maxsat_solve(formula, budget=60, upper=plain.cost)
         assert bounded.status == OPTIMUM and bounded.optimal
         assert bounded.model is None and bounded.cost is None
         assert bounded.iterations == 1
+        assert len(repairers) == 1
+        repairers.clear()
 
 
 def test_an_upper_bound_above_the_optimum_descends_to_it():
