@@ -66,12 +66,12 @@ class Formula:
     def add_hard_clauses(self, clauses: list[list[int]]) -> None:
         """Append freshly built clauses, which the formula then owns.
 
-        One pass over the whole batch screens it; a batch that fails the
-        screen goes through :meth:`_checked` clause by clause, which raises
-        at the first fault.  On a failure nothing is appended.
+        The set of the batch's distinct literals screens it; a batch that
+        fails the screen goes through :meth:`_checked` clause by clause,
+        which raises at the first fault.  On a failure nothing is appended.
         """
         n = self.var_count
-        lits = list(itertools.chain.from_iterable(clauses))
+        lits = set(itertools.chain.from_iterable(clauses))
         if clauses and (
             not all(clauses) or min(lits) < -n or max(lits) > n or 0 in lits
         ):

@@ -21,6 +21,7 @@ produced by an external solver in a later process.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Mapping
@@ -197,26 +198,23 @@ def encode_bdd1(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingCont
     return formula, ctx
 
 
-def _classification_clauses(ctx: EncodingContext, dataset: Dataset):
+def _classification_clauses(ctx: EncodingContext, dataset: Dataset, errors=None):
     """Clauses of the improved encoding, one per example and cell.
 
     Cell ``j`` is reached when the selected-feature values spell out the
     binary expansion of ``j``; the clause is that implication's CNF form,
-    ``depth + 1`` literals wide.
+    ``depth + 1`` literals wide.  With ``errors``, example ``q``'s clauses
+    end in ``errors[q]`` as well.
     """
-    depth = ctx.depth
-    n_cells = 1 << depth
     assert ctx.d is not None
-    for q in range(dataset.m):
-        sign = 1 if dataset.labels[q] == 1 else -1
-        for j in range(n_cells):
-            clause = []
-            for i in range(depth):
-                bit = (j >> (depth - 1 - i)) & 1
-                lit = ctx.d[i][q]
-                clause.append(-lit if bit else lit)
-            clause.append(sign * ctx.c[j])
-            yield clause
+    signed = (tuple(-c for c in ctx.c), ctx.c)  # by label
+    clauses: list[list[int]] = []
+    for q, label in enumerate(dataset.labels):
+        # cell j's clause holds d[i][q] where bit i of j, from the top, is 0
+        routes = itertools.product(*((d[q], -d[q]) for d in ctx.d))
+        tail = () if errors is None else (errors[q],)
+        clauses += [[*lits, c, *tail] for lits, c in zip(routes, signed[label])]
+    return clauses
 
 
 def _feature_value_links(formula: cnf.Formula, ctx: EncodingContext, dataset: Dataset):
@@ -227,7 +225,8 @@ def _feature_value_links(formula: cnf.Formula, ctx: EncodingContext, dataset: Da
     for q, row in enumerate(dataset.features):
         for i, not_here in enumerate(unplaced):
             d_lit = ctx.d[i][q]
-            links += [[x, d_lit if bit else -d_lit] for x, bit in zip(not_here, row)]
+            signed = (-d_lit, d_lit)
+            links += [[x, signed[bit]] for x, bit in zip(not_here, row)]
     formula.add_hard_clauses(links)
 
 
@@ -238,7 +237,7 @@ def encode_bdd2(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingCont
     formula, ctx = _new_context(dataset, depth, BDD2)
     _structural_constraints(formula, ctx)
     _feature_value_links(formula, ctx, dataset)
-    formula.add_hard_clauses(list(_classification_clauses(ctx, dataset)))
+    formula.add_hard_clauses(_classification_clauses(ctx, dataset))
     return formula, ctx
 
 
@@ -295,10 +294,7 @@ def encode_maxsat(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingCo
     _structural_constraints(formula, ctx)
     _feature_value_links(formula, ctx, dataset)
     errors = [formula.fresh_var() for _ in range(dataset.m)]
-    clauses = list(_classification_clauses(ctx, dataset))
-    for idx, clause in enumerate(clauses):  # 2**depth clauses per example
-        clause.append(errors[idx >> depth])
-    formula.add_hard_clauses(clauses)
+    formula.add_hard_clauses(_classification_clauses(ctx, dataset, errors))
     for e in errors:
         formula.add_soft([-e])
     return formula, ctx

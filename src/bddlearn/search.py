@@ -9,10 +9,11 @@ solver, so ``learn``, ``min_depth`` and cross-validation may return a
 different perfect ordering and table than the solver would; with no
 perfect leaf, SAT mode has the solver prove UNSAT on the few rows of the
 walk's core instead of the whole dataset, and MaxSAT mode has it prove
-the walk's optimum at one error below.  A walk the budget stops returns
-its best leaf in MaxSAT mode as the anytime model.  The formula is built
-once, after the walk, and only when a solver runs; the external path
-encodes the whole dataset and decodes the external solver's model.
+the walk's optimum at one error below, on the rows of the walk's cost
+core.  A walk the budget stops returns its best leaf in MaxSAT mode as
+the anytime model.  The formula is built once, after the walk, and only
+when a solver runs; the external path encodes the whole dataset and
+decodes the external solver's model.
 ``model_from_table`` is the one way from an ordering and truth table to
 a model: unknown-cell marking, the configured generalization bias, the
 diagram and the training accuracy.  ``min_depth`` finds the smallest
@@ -196,7 +197,11 @@ def _majority_fill(counts) -> tuple[list[str], int]:
 
 
 def best_subset(
-    dataset: Dataset, depth: int, stop: Callable[[], bool] = lambda: False
+    dataset: Dataset,
+    depth: int,
+    stop: Callable[[], bool] = lambda: False,
+    *,
+    cost_core: bool = False,
 ) -> Walk | None:
     """The classifier of ``depth`` with the fewest training errors, found
     by one anytime walk over the feature subsets, and a row core.
@@ -218,16 +223,26 @@ def best_subset(
     walk's pick order; when that table ignores the first pick, the first
     pick it reads becomes the root, so the table is a bead.
 
-    Every leaf the walk leaves mixed gets a witness pair in the core: if
-    none of its mixed cells already holds core rows of both labels, the
-    lowest positive and the lowest negative row of its first mixed cell
-    join the core.  A finished walk with no perfect leaf returns the
-    core's sorted row indices, at most ``2 * C(k, depth)`` of them; one
-    that ends on a perfect leaf, the empty tuple.  No subset classifies
-    the core rows alone, so the ``encode_bdd2`` formula of the core is
-    unsatisfiable, and with it the full formula, whose clauses include
-    the core's up to a renaming of the ``d`` variables (the
-    example-subset argument of Avellaneda, AAAI 2020).
+    The walk also builds a row core.  Every leaf it leaves mixed must err
+    at least a target on the core rows, counted as ``min(pos, neg)``
+    summed over its cells, a lower bound on the errors of any table of
+    its subset there.  The target is 1, or with ``cost_core`` the walk's
+    least cost so far, this leaf included.  A leaf below its target tops
+    the core up: it walks its mixed cells in order and adds each cell's
+    rows pair by pair, lowest positive and lowest negative row first,
+    until the target is met; at target 1 that is the lowest pair of its
+    first mixed cell.  A leaf that still falls short owes its cost to the
+    flip of a constant table and puts every row in the core.  A finished
+    walk with no perfect leaf returns the core's sorted row indices; one
+    that ends on a perfect leaf, the empty tuple.  At target 1 the core
+    holds at most ``2 * C(k, depth)`` rows and no subset classifies it,
+    so the ``encode_bdd2`` formula of the core is unsatisfiable, and with
+    it the full formula, whose clauses include the core's up to a
+    renaming of the ``d`` variables (the example-subset argument of
+    Avellaneda, AAAI 2020).  With ``cost_core`` every subset errs at
+    least the walk's optimum on the core rows; a model of the full
+    ``encode_maxsat`` formula, restricted to them, errs no more on the
+    core's formula, so refuting one error less there proves the optimum.
 
     ``stop`` is asked before each feature is tried; once it answers true
     the walk ends with its best leaf so far and no core, or returns None
@@ -235,6 +250,7 @@ def best_subset(
     labels present.
     """
     columns, labels = dataset.column_bits, dataset.label_bits
+    every = (1 << dataset.m) - 1
     core = 0  # bitset of the core rows
     best, least = None, dataset.m + 1  # the cheapest (picks, cells) so far, its cost
     first = 0  # the first leaf's cost, left 0 when that leaf is perfect
@@ -255,27 +271,46 @@ def best_subset(
                     errors += pos if pos < neg else neg
         return out, errors
 
+    def held(rows: int) -> int:
+        """The errors a cell holding ``rows`` of the core forces."""
+        pos = (rows & labels).bit_count()
+        return min(pos, rows.bit_count() - pos)
+
+    def top_up(mixed: list[int], target: int) -> None:
+        """Add rows to the core until the leaf of the cells ``mixed``
+        forces ``target`` errors on it, or make it every row."""
+        nonlocal core
+        total = sum(held(cell & core) for cell in mixed)
+        for cell in mixed:
+            pos, neg = cell & labels, cell & ~labels
+            while total < target and pos and neg:
+                low = pos & -pos | neg & -neg  # the cell's next pair
+                total -= held(cell & core)
+                core |= low
+                total += held(cell & core)
+                pos, neg = pos & ~low, neg & ~low
+        if total < target:  # only a flip lifts the leaf's cost to ``target``
+            core = every
+
     def walk(prefix: tuple[int, ...], mixed: list[int], cost: int, pool) -> bool:
         """Walk the subsets that extend ``prefix`` by the features of the
         ranked ``pool``; True once one is perfect or the walk is stopped.
         ``cost`` is the errors of ``mixed``, the prefix's cells that hold
         both labels."""
-        nonlocal core, best, least, first, stopped
+        nonlocal best, least, first, stopped
         if len(prefix) == depth:
             if not mixed:
                 cells = _majority_fill(cell_counts(dataset, prefix))[0]
                 best, least = (prefix, cells), 0
                 return True
-            held = (cell & core for cell in mixed)
-            if all(rows & labels in (0, rows) for rows in held):
-                pos, neg = mixed[0] & labels, mixed[0] & ~labels
-                core |= pos & -pos | neg & -neg
             if cost < least:  # the flip only adds to it
                 cells, cost = _majority_fill(cell_counts(dataset, prefix))
                 if best is None:
                     first = cost
                 if cost < least:
                     best, least = (prefix, cells), cost
+            if core != every:
+                top_up(mixed, least if cost_core else 1)
             return False
         ranked = sorted((split(mixed, r)[1], r) for _, r in pool)
         for i in range(len(ranked) - depth + len(prefix) + 1):
@@ -288,7 +323,7 @@ def best_subset(
         return False
 
     # the costs of the root and of its pool are never read
-    walk((), [(1 << dataset.m) - 1], 0, [(0, r) for r in range(dataset.k)])
+    walk((), [every], 0, [(0, r) for r in range(dataset.k)])
     if best is None:
         return None
     picks, cells = best
@@ -416,9 +451,12 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     perfect leaf is the witness: optimal, returned without a solver.  A
     finished walk with no perfect leaf hands SAT mode its row core, whose
     ``encode_bdd2`` formula the solver refutes (its UNSAT implies the full
-    formula's), and MaxSAT mode its optimum, which the solver proves at
-    one error below, on a formula that keeps the tail-sorted orderings
-    only (:func:`encode.ordered_tail`).  A walk stopped by the budget
+    formula's), and MaxSAT mode its optimum and cost core, the rows on
+    which every subset errs at least that optimum.  The solver proves the
+    optimum at one error below on the core's ``encode_maxsat`` formula,
+    which keeps the tail-sorted orderings only
+    (:func:`encode.ordered_tail`); ``core_rows`` reports the rows it
+    encodes, 0 when no proof is encoded.  A walk stopped by the budget
     before its first leaf raises :class:`SolverTimeoutError`; after it, the
     walk's best leaf is returned in MaxSAT mode as the anytime model, not
     optimal and without a solver, and SAT mode times out.  A budget that
@@ -490,15 +528,27 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
         positions, table = encode.decode(result.model, ctx)
         return build(positions, table, optimal, stats)
 
-    walk = best_subset(work, cfg.depth, lambda: time.monotonic() >= deadline)
+    walk = best_subset(
+        work,
+        cfg.depth,
+        lambda: time.monotonic() >= deadline,
+        cost_core=cfg.mode == MODE_MAXSAT,
+    )
     if walk is None:
         raise SolverTimeoutError(f"no model within {cfg.budget}s")
     best = walk.best
 
-    def answer(optimal: bool, stats=solve.SatStats(), iterations=0) -> LearnedModel:
+    def answer(
+        optimal: bool, stats=solve.SatStats(), iterations=0, core_rows=0
+    ) -> LearnedModel:
         extra = {"seed_cost": walk.first_cost}
         if cfg.mode == MODE_MAXSAT:
-            extra = {"cost": best.cost, "iterations": iterations, **extra}
+            extra = {
+                "cost": best.cost,
+                "iterations": iterations,
+                **extra,
+                "core_rows": core_rows,
+            }
         _check_witness(work, best, cfg.depth)
         return build(best.ordering, best.table, optimal, _stats_dict(stats, extra))
 
@@ -513,7 +563,7 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
         raise RuntimeError("internal error: the solver beat the subset walk")
     if walk.core is None:  # stopped: the anytime model
         return answer(False)
-    formula, ctx = encode.encode_maxsat(work, cfg.depth)
+    formula, ctx = encode.encode_maxsat(work.subset(walk.core), cfg.depth)
     formula.add_hard_clauses(encode.ordered_tail(ctx))
     # a budget spent by now builds no solver, and the walk's optimum comes
     # back as the anytime model
@@ -522,7 +572,7 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     )
     if result.model is not None:
         raise RuntimeError("internal error: the solver beat the subset walk")
-    return answer(result.optimal, result.stats, result.iterations)
+    return answer(result.optimal, result.stats, result.iterations, len(walk.core))
 
 
 def _raise_unless_sat(result: solve.SatResult, cfg: LearnConfig) -> None:

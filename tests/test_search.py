@@ -181,9 +181,9 @@ def test_learn_counts_the_seed_inside_the_budget(monkeypatch):
     ds = random_dataset(random.Random(3), k=6, m=20)
     walk = search.best_subset
 
-    def slow_walk(dataset, depth, stop):
+    def slow_walk(dataset, depth, stop, **kwargs):
         time.sleep(0.05)
-        return walk(dataset, depth, stop)
+        return walk(dataset, depth, stop, **kwargs)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("the solver ran with no budget left")
@@ -221,11 +221,11 @@ def test_a_seed_that_misreports_its_cost_is_an_internal_error(monkeypatch):
     # the seed's table errs on ``cost`` rows, the optimum; claiming one
     # fewer, nothing beats the claim, and the row count catches it
     for ds in _optimal_erring_seeds(random.Random(41), 2):
-        walk = search.best_subset(ds, 2)
+        walk = search.best_subset(ds, 2, cost_core=True)
         best = walk.best
         lying = replace(walk, best=replace(best, cost=best.cost - 1))
         with monkeypatch.context() as m:
-            m.setattr(search, "best_subset", lambda *args: lying)
+            m.setattr(search, "best_subset", lambda *args, **kwargs: lying)
             with pytest.raises(
                 RuntimeError, match="internal error: model fails hard-clause check"
             ):
@@ -295,8 +295,8 @@ def test_a_solver_model_below_the_walk_is_an_internal_error(monkeypatch):
     [ds] = _suboptimal_seeds(random.Random(37), 1, 6, 24, 2)
     walk = search.best_subset
 
-    def off_by_one(*args):
-        found = walk(*args)
+    def off_by_one(*args, **kwargs):
+        found = walk(*args, **kwargs)
         return replace(found, best=replace(found.best, cost=found.best.cost + 1))
 
     monkeypatch.setattr(search, "best_subset", off_by_one)
@@ -318,8 +318,8 @@ def test_a_budget_spent_inside_the_walk_returns_its_best_leaf(monkeypatch):
     ordering, cells, greedy_cost = greedy_classifier(ds, 3)
     walk = search.best_subset
 
-    def stopped(dataset, depth, stop):
-        return walk(dataset, depth, _stop_after(5))
+    def stopped(dataset, depth, stop, **kwargs):
+        return walk(dataset, depth, _stop_after(5), **kwargs)
 
     monkeypatch.setattr(search, "best_subset", stopped)
     _no_solver(monkeypatch)
@@ -619,7 +619,7 @@ def test_a_false_zero_cost_seed_is_an_internal_error(
     # of the witness checks
     ds = cube_dataset(lambda r: r[1])
     lying = search.Walk(search.Leaf(ordering, TruthTable(cells), 0), 0, ())
-    monkeypatch.setattr(search, "best_subset", lambda *args: lying)
+    monkeypatch.setattr(search, "best_subset", lambda *args, **kwargs: lying)
     with pytest.raises(RuntimeError, match="internal error"):
         learn(ds, LearnConfig(depth=2, mode=mode, budget=60))
 
@@ -692,8 +692,8 @@ def test_with_no_perfect_subset_the_solver_proves_unsat(monkeypatch):
     searched = []
     search_fn = search.best_subset
 
-    def recorded(*args):
-        searched.append(search_fn(*args))
+    def recorded(*args, **kwargs):
+        searched.append(search_fn(*args, **kwargs))
         return searched[-1]
 
     monkeypatch.setattr(search, "best_subset", recorded)
@@ -712,7 +712,7 @@ def test_a_sat_answer_after_a_complete_search_is_an_internal_error(monkeypatch):
     ordering, cells, cost = greedy_classifier(ds, 2)
     leaf = search.Leaf(ordering, TruthTable(cells), cost)
     erring = search.Walk(leaf, cost, tuple(range(ds.m)))
-    monkeypatch.setattr(search, "best_subset", lambda *args: erring)
+    monkeypatch.setattr(search, "best_subset", lambda *args, **kwargs: erring)
     with pytest.raises(RuntimeError, match="internal error"):
         learn(ds, LearnConfig(depth=2, mode="sat", budget=60))
 
@@ -723,12 +723,12 @@ def test_a_budget_spent_inside_the_subset_search_times_out(monkeypatch):
     ds = cube_dataset(lambda r: r[1] ^ r[2])
     search_fn = search.best_subset
 
-    def slow(dataset, depth, stop):
+    def slow(dataset, depth, stop, **kwargs):
         def slow_stop():
             time.sleep(0.1)
             return stop()
 
-        return search_fn(dataset, depth, slow_stop)
+        return search_fn(dataset, depth, slow_stop, **kwargs)
 
     monkeypatch.setattr(search, "best_subset", slow)
     _no_solver(monkeypatch)
@@ -891,3 +891,59 @@ def test_the_certificate_refutes_the_core_rows_only(monkeypatch):
     assert ctx.n_examples == len(core)
     assert [len(row) for row in ctx.d] == [len(core)]
     assert [answer.status for answer in answers] == [solve.UNSAT]
+
+
+@pytest.mark.parametrize(
+    "seed, k, m, depth, core",
+    [
+        (11, 5, 16, 2, (1, 2, 4)),
+        (12, 6, 20, 2, (1, 3, 5, 6, 7, 15)),
+        (13, 6, 24, 3, (1, 5, 8, 11, 13, 15, 17, 19, 21)),
+        (14, 8, 40, 3, (0, 4, 6, 11, 13, 16, 22, 24)),
+    ],
+)
+def test_sat_mode_keeps_its_row_core(seed, k, m, depth, core):
+    # SAT mode keeps one witness pair per leaf left mixed; the pinned
+    # cores hold wherever the walk's MaxSAT cost core goes
+    ds = random_dataset(random.Random(seed), k=k, m=m)
+    assert search.best_subset(ds, depth).core == core
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(2, 6), st.integers(2, 24), st.data())
+def test_a_cost_core_forces_the_optimum_that_learn_proves(depth, k, m, data):
+    # every subset errs at least the optimum on the core rows alone, and
+    # MaxSAT learn proves that optimum on the core's formula
+    k = max(k, depth)
+    bit = st.integers(0, 1)
+    rows = data.draw(st.lists(st.tuples(*[bit] * k), min_size=m, max_size=m))
+    labels = data.draw(st.lists(bit, min_size=m, max_size=m))
+    assume(len(set(labels)) == 2)
+    ds = dataset_from_bits(rows, labels)
+    walk = search.best_subset(ds, depth, cost_core=True)
+    least = walk.best.cost
+    assert least == best_split_error(ds, depth)
+    model = learn(ds, LearnConfig(depth=depth, mode="maxsat", budget=60))
+    assert model.optimal
+    assert model.solver_stats["cost"] == least
+    if least == 0:
+        assert walk.core == () and model.solver_stats["core_rows"] == 0
+        return
+    assert list(walk.core) == sorted(set(walk.core))
+    assert best_split_error(ds.subset(walk.core), depth) >= least
+    assert model.solver_stats["core_rows"] == len(walk.core)
+
+
+def test_a_leaf_that_owes_its_cost_to_the_flip_puts_every_row_in_the_core(monkeypatch):
+    # both cells of f1 hold two positives and one negative: the majority
+    # table 11 is constant, so the only leaf pays one flip on top of its
+    # two minority rows, and no choice of rows forces three errors
+    ds = dataset_from_bits([(0,)] * 3 + [(1,)] * 3, [1, 1, 0, 1, 1, 0])
+    walk = search.best_subset(ds, 1, cost_core=True)
+    assert walk.best.cost == best_split_error(ds, 1) == 3
+    assert walk.core == tuple(range(ds.m))
+    built = _count_solvers(monkeypatch)
+    model = learn(ds, LearnConfig(depth=1, mode="maxsat", budget=60))
+    assert model.optimal and len(built) == 1
+    assert model.solver_stats["cost"] == 3
+    assert model.solver_stats["core_rows"] == ds.m
