@@ -229,6 +229,42 @@ def test_encode_maxsat_writes_wcnf(tmp_path, demo8_csv):
     assert ctx["depth"] == 2
 
 
+@pytest.mark.parametrize(
+    "variant, digest, sizes",
+    [
+        (
+            "bdd2",
+            "5054074cb0262c6e917a0d8525db25dbea08840358d6180d9bb3ec0247edd708",
+            "516 vars, 7550 clauses, 16180 literals",
+        ),
+        (
+            "maxsat",
+            "f8ee3a1ceeed0991f112f39c872cf582d58e2a02d58b2ef622c2763a17975c95",
+            "576 vars, 7610 clauses, 16720 literals",
+        ),
+    ],
+)
+def test_encode_output_is_pinned(tmp_path, capsys, variant, digest, sizes):
+    # sha256 of the file, taken before the feature-value links became a
+    # clause family that the emitter renders without building its clauses
+    import hashlib
+    import random
+
+    rng = random.Random(5)
+    lines = [",".join(f"c{i}" for i in range(12)) + ",label"]
+    for _ in range(60):
+        row = [rng.choice("abc") for _ in range(12)]
+        label = "yes" if (row[0] == "a") != (row[3] == "b") else "no"
+        lines.append(",".join(row + [label]))
+    data = tmp_path / "seeded.csv"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / f"{variant}.out"
+    argv = ["encode", str(data), str(out), "--label", "label", "--depth", "3"]
+    assert run(*argv, "--model", variant) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert f"({sizes})" in capsys.readouterr().out
+
+
 def test_evaluate_round_trip(tmp_path, demo8_csv, capsys):
     model_path = tmp_path / "model.json"
     assert (

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import random
@@ -293,6 +294,40 @@ def test_emission_of_encoded_formulas_matches_a_line_by_line_writer(formula):
                 assert cnf.dimacs_cnf(formula) == _line_by_line_cnf(formula)
     finally:
         cnf._EMIT_CHUNK = default
+
+
+# sha256 of the emitted text, taken before the feature-value links became
+# a clause family; a change of emitter or encoder must keep them
+_TEXT_PINS = {
+    (1, 45, 200, 2): {
+        "bdd1": "1ad923574a76dba443d6858083b3e684a2617727c3a5aeec3d51cc47da9c8c88",
+        "bdd2": "01ddb4be9a2a9363c3522a60cc24aa95f726c0abe0f412bf2b66a823611aa991",
+        "maxsat": "e6edea4a2de5b1dd5f82a6045dd769bdcfc32df13ddfe22e0853f10bdaf6268f",
+        "maxsat-tail": "e6edea4a2de5b1dd5f82a6045dd769bdcfc32df13ddfe22e0853f10bdaf6268f",
+    },
+    (3, 12, 60, 3): {
+        "bdd1": "4d219fc4d5c6c48b3ec43ca41654d4e29f40140aaede99fe65e0416d3b0f9abc",
+        "bdd2": "e40141163907cbda464e3a6ec09dc1cdd0eac81c77937d30b86f5d4bf4d0fcde",
+        "maxsat": "0c5e9a848a9c8ecfe6db4f90a62b6d7a8e56506f5295186fbddf23d2e81c4f93",
+        "maxsat-tail": "c41fbd9fca7a454e01fdd6e3d4a4b8905863757e7e1c2d0d7c57e43c37f998ff",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", list(_TEXT_PINS), ids=lambda s: "seed%d-k%d-m%d-H%d" % s)
+def test_emitted_text_of_each_encoding_is_pinned(shape):
+    seed, k, m, depth = shape
+    ds = random_dataset(random.Random(seed), k=k, m=m, consistent=True)
+    tail, ctx = encode.encode_maxsat(ds, depth)
+    tail.add_hard_clauses(encode.ordered_tail(ctx))
+    texts = {
+        "bdd1": cnf.dimacs_cnf(encode.encode_bdd1(ds, depth)[0]),
+        "bdd2": cnf.dimacs_cnf(encode.encode_bdd2(ds, depth)[0]),
+        "maxsat": cnf.dimacs_wcnf(encode.encode_maxsat(ds, depth)[0]),
+        "maxsat-tail": cnf.dimacs_wcnf(tail),
+    }
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    assert digests == _TEXT_PINS[shape]
 
 
 def test_parse_model_signed_dialect():
