@@ -6,15 +6,20 @@ uses, and at a larger bound, the MaxSAT cost bound, with a totalizer.
 
 Literals are signed DIMACS-style integers throughout the package: ``+v``
 is the Boolean variable ``v`` and ``-v`` its negation, with ``v >= 1``.
-A clause is a list of such literals.
+A clause is a list of such literals.  A formula's hard clauses are a
+:class:`Clauses` sequence, which may also hold a clause family,
+:class:`ValueLinks`, that is counted and written without building its
+clauses.
 """
 
 from __future__ import annotations
 
 import io
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from collections.abc import Sequence
+from typing import Callable, Iterable, Mapping, TextIO
 
 
 class FormulaError(ValueError):
@@ -29,11 +34,139 @@ class UnsatStatusError(ModelParseError):
     """Solver output reports unsatisfiability instead of a model."""
 
 
+class ValueLinks:
+    """The two-literal clauses ``-sel[r][i] | ±val[i][q]``, one clause family.
+
+    ``sel[r][i]`` places column ``r`` at position ``i``, ``val[i][q]`` is
+    position ``i``'s value on row ``q``, and the ``val`` literal is
+    positive where ``rows[q][r]`` is 1.  The clauses run over ``q``, then
+    ``i``, then ``r``: ``len(rows) * len(val) * len(sel)`` of them.  The
+    family holds its three tables only; :meth:`clauses` builds the lists
+    and :meth:`write` renders the text without them.
+    """
+
+    __slots__ = ("sel", "val", "rows")
+
+    def __init__(
+        self,
+        sel: Sequence[Sequence[int]],
+        val: Sequence[Sequence[int]],
+        rows: Sequence[Sequence[int]],
+    ):
+        self.sel, self.val, self.rows = sel, val, rows
+
+    def __len__(self) -> int:
+        return len(self.rows) * len(self.val) * len(self.sel)
+
+    def clauses(self) -> list[list[int]]:
+        unplaced = [[-s[i] for s in self.sel] for i in range(len(self.val))]
+        links: list[list[int]] = []
+        for q, row in enumerate(self.rows):
+            for not_here, val in zip(unplaced, self.val):
+                signed = (-val[q], val[q])
+                links += [[x, signed[bit]] for x, bit in zip(not_here, row)]
+        return links
+
+    def write(self, out: TextIO, prefix: str = "") -> None:
+        """Write each clause as a DIMACS line led by ``prefix``.
+
+        One ``%`` template per row fixes the text of every ``-sel``
+        literal; only the signed ``val`` literals fill it, row by row.
+        """
+        per_row = len(self.val) * len(self.sel)
+        if not per_row:
+            return
+        row_text = "".join(
+            f"{prefix}{-s[i]} %s 0\n" for i in range(len(self.val)) for s in self.sel
+        )
+        # itemgetter of one index returns the item itself, not a 1-tuple
+        picker = operator.itemgetter if len(self.sel) > 1 else lambda bit: lambda pair: (pair[bit],)
+        step = max(1, _EMIT_CHUNK // per_row)
+        for lo in range(0, len(self.rows), step):
+            rows = self.rows[lo : lo + step]
+            lits: list[str] = []
+            for q, row in enumerate(rows, lo):
+                pick = picker(*row)  # each column's literal out of (negative, positive)
+                for val in self.val:
+                    lits += pick((str(-val[q]), str(val[q])))
+            out.write(row_text * len(rows) % tuple(lits))
+
+
+class Clauses(Sequence):
+    """The hard clauses of a formula: clause lists and families, in order.
+
+    ``parts`` holds lists of clauses and :class:`ValueLinks` families.
+    ``len``, :func:`literal_count` and the DIMACS emitters read a family
+    without building its clauses.  Every other read (iteration, indexing,
+    slicing, ``in``, ``==``) goes through :meth:`as_list`, which expands
+    the families once and keeps the result as the one part.
+    """
+
+    __slots__ = ("parts", "_len")
+
+    def __init__(self):
+        self.parts: list[list[list[int]] | ValueLinks] = [[]]
+        self._len = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _tail(self) -> list[list[int]]:
+        if type(self.parts[-1]) is not list:
+            self.parts.append([])
+        return self.parts[-1]
+
+    def append(self, clause: list[int]) -> None:
+        self._tail().append(clause)
+        self._len += 1
+
+    def extend(self, clauses: Iterable[list[int]]) -> None:
+        tail = self._tail()
+        before = len(tail)
+        tail.extend(clauses)
+        self._len += len(tail) - before
+
+    def add_family(self, family: ValueLinks) -> None:
+        self.parts.append(family)
+        self._len += len(family)
+
+    def as_list(self) -> list[list[int]]:
+        """Every clause as a list, in order; the sequence's own storage."""
+        if len(self.parts) > 1 or type(self.parts[0]) is not list:
+            flat: list[list[int]] = []
+            for part in self.parts:
+                flat += part if type(part) is list else part.clauses()
+            self.parts = [flat]
+        return self.parts[0]
+
+    def __iter__(self):
+        return iter(self.as_list())
+
+    def __getitem__(self, index):
+        return self.as_list()[index]
+
+    def __contains__(self, clause) -> bool:
+        return clause in self.as_list()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Clauses):
+            other = other.as_list()
+        return self.as_list() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Clauses({self.as_list()!r})"
+
+
 class Formula:
     """A CNF formula split into hard clauses and weighted soft clauses.
 
-    Construction is single-writer: build the formula, then treat it as
-    immutable (``copy`` before mutating a shared instance).
+    ``hard`` is a :class:`Clauses` sequence: clause lists and, from
+    :meth:`add_value_links`, a clause family that stays unexpanded until a
+    solver or checker iterates the clauses.  Construction is
+    single-writer: build the formula, then treat it as immutable (``copy``
+    before mutating a shared instance).
     """
 
     __slots__ = ("var_count", "hard", "soft")
@@ -42,7 +175,7 @@ class Formula:
         if var_count < 0:
             raise FormulaError("var_count must be >= 0")
         self.var_count = var_count
-        self.hard: list[list[int]] = []
+        self.hard = Clauses()
         self.soft: list[tuple[list[int], int]] = []
 
     def fresh_var(self) -> int:
@@ -79,6 +212,19 @@ class Formula:
                 self._checked(clause)
         self.hard.extend(clauses)
 
+    def add_value_links(self, links: ValueLinks) -> None:
+        """Append the clause family ``links`` unexpanded.
+
+        Its variables screen it as in :meth:`add_hard_clauses`: when one
+        lies outside ``1..var_count``, its clauses go through
+        :meth:`_checked` one by one, and on a failure nothing is appended.
+        """
+        ids = [*itertools.chain(*links.sel), *itertools.chain(*links.val)]
+        if ids and (min(ids) < 1 or max(ids) > self.var_count):
+            for clause in links.clauses():
+                self._checked(clause)
+        self.hard.add_family(links)
+
     def add_soft(self, clause: Iterable[int], weight: int = 1) -> None:
         if weight < 1:
             raise FormulaError("soft weights must be >= 1")
@@ -86,7 +232,7 @@ class Formula:
 
     def copy(self) -> "Formula":
         dup = Formula(self.var_count)
-        dup.hard = [list(c) for c in self.hard]
+        dup.hard.extend([list(c) for c in self.hard])
         dup.soft = [(list(c), w) for c, w in self.soft]
         return dup
 
@@ -174,8 +320,15 @@ def exactly_one(formula: Formula, lits: Iterable[int]) -> None:
 
 
 def literal_count(formula: Formula) -> int:
-    """Total number of literals over all hard and soft clauses."""
-    return sum(map(len, formula.hard)) + sum(len(c) for c, _ in formula.soft)
+    """Total number of literals over all hard and soft clauses.
+
+    A :class:`ValueLinks` family counts two per clause, unexpanded.
+    """
+    hard = sum(
+        2 * len(part) if isinstance(part, ValueLinks) else sum(map(len, part))
+        for part in formula.hard.parts
+    )
+    return hard + sum(len(c) for c, _ in formula.soft)
 
 
 def lit_true(lit: int, assignment: Mapping[int, int]) -> bool:
@@ -260,12 +413,19 @@ class _LineTemplates(dict):
 
 
 def _write_clauses(out: TextIO, clauses: Iterable[Sequence[int]], prefix: str = "") -> None:
-    """Write each clause as one line: ``prefix``, its literals, then `` 0``."""
+    """Write each clause as one line: ``prefix``, its literals, then `` 0``.
+
+    :class:`Clauses` are written part by part; a family renders itself.
+    """
     line = _LineTemplates(prefix).__getitem__
-    clauses = iter(clauses)
-    while chunk := list(itertools.islice(clauses, _EMIT_CHUNK)):
-        text = "".join(map(line, map(len, chunk)))
-        out.write(text % tuple(itertools.chain.from_iterable(chunk)))
+    for part in clauses.parts if isinstance(clauses, Clauses) else (clauses,):
+        if isinstance(part, ValueLinks):
+            part.write(out, prefix)
+            continue
+        part = iter(part)
+        while chunk := list(itertools.islice(part, _EMIT_CHUNK)):
+            text = "".join(map(line, map(len, chunk)))
+            out.write(text % tuple(itertools.chain.from_iterable(chunk)))
 
 
 def emit_dimacs_cnf(formula: Formula, out: TextIO) -> None:

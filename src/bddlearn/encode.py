@@ -218,16 +218,16 @@ def _classification_clauses(ctx: EncodingContext, dataset: Dataset, errors=None)
 
 
 def _feature_value_links(formula: cnf.Formula, ctx: EncodingContext, dataset: Dataset):
-    # placing feature r at position i fixes d[i][q] to the feature value
+    """Placing feature ``r`` at position ``i`` fixes ``d[i][q]`` to row ``q``'s value.
+
+    The ``k * m * depth`` clauses ``-a[r][i] | ±d[i][q]`` go to the
+    formula as one :class:`cnf.ValueLinks` family, in the order example,
+    position, feature.  Counting and emitting the formula read the family
+    as it is; a solver or checker that iterates ``formula.hard`` expands
+    it once.
+    """
     assert ctx.d is not None
-    unplaced = [[-ctx.a[r][i] for r in range(ctx.n_features)] for i in range(ctx.depth)]
-    links: list[list[int]] = []
-    for q, row in enumerate(dataset.features):
-        for i, not_here in enumerate(unplaced):
-            d_lit = ctx.d[i][q]
-            signed = (-d_lit, d_lit)
-            links += [[x, signed[bit]] for x, bit in zip(not_here, row)]
-    formula.add_hard_clauses(links)
+    formula.add_value_links(cnf.ValueLinks(ctx.a, ctx.d, dataset.features))
 
 
 def encode_bdd2(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingContext]:

@@ -528,7 +528,9 @@ def sat_solve(
     if formula.soft:
         warnings.warn("sat_solve ignores soft clauses", stacklevel=2)
     deadline = None if budget is None else time.monotonic() + budget
-    solver = CdclSolver(formula.hard, formula.var_count, seed=seed, deadline=deadline)
+    solver = CdclSolver(
+        formula.hard.as_list(), formula.var_count, seed=seed, deadline=deadline
+    )
     result = solver.solve(None if deadline is None else deadline - time.monotonic())
     if result.status == SAT:
         assert result.model is not None

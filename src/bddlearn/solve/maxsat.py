@@ -102,7 +102,7 @@ def maxsat_solve(
     # clause lists with ``formula`` instead of copying them
     orig_vars = formula.var_count
     relaxed = cnf.Formula(orig_vars)
-    relaxed.hard = list(formula.hard)
+    relaxed.hard.extend(formula.hard)
     relax: list[int] = []
     for clause, _weight in formula.soft:
         if len(clause) == 1:
@@ -123,13 +123,13 @@ def maxsat_solve(
         # the relaxed base plus the current bound; stale looser bounds are
         # dropped, so iterations shrink as the bound tightens
         working = cnf.Formula(relaxed.var_count)
-        working.hard = list(relaxed.hard)
+        working.hard.extend(relaxed.hard)
         if best_cost <= len(relax):  # a bound of len(relax) excludes nothing
             cnf.at_most_k(working, relax, best_cost - 1)
             if expired():  # the bound's tree takes tens of ms at a large bound
                 return result(False)
         solver = CdclSolver(
-            working.hard, working.var_count, seed=seed, deadline=deadline
+            working.hard.as_list(), working.var_count, seed=seed, deadline=deadline
         )
         res = solver.solve(remaining())
         _merge_stats(stats, res.stats)

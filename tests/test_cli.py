@@ -244,11 +244,18 @@ def test_encode_maxsat_writes_wcnf(tmp_path, demo8_csv):
         ),
     ],
 )
-def test_encode_output_is_pinned(tmp_path, capsys, variant, digest, sizes):
+def test_encode_output_is_pinned(tmp_path, capsys, monkeypatch, variant, digest, sizes):
     # sha256 of the file, taken before the feature-value links became a
-    # clause family that the emitter renders without building its clauses
+    # clause family; the command counts and writes it without its clauses
     import hashlib
     import random
+
+    from bddlearn import cnf
+
+    def no_lists(self):
+        raise AssertionError("the encode command built the link lists")
+
+    monkeypatch.setattr(cnf.ValueLinks, "clauses", no_lists)
 
     rng = random.Random(5)
     lines = [",".join(f"c{i}" for i in range(12)) + ",label"]

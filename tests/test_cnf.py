@@ -330,6 +330,100 @@ def test_emitted_text_of_each_encoding_is_pinned(shape):
     assert digests == _TEXT_PINS[shape]
 
 
+def _reference_links(ctx, ds):
+    # the feature-value links as the encoder built them, one list each
+    return [
+        [-ctx.a[r][i], ctx.d[i][q] if row[r] else -ctx.d[i][q]]
+        for q, row in enumerate(ds.features)
+        for i in range(ctx.depth)
+        for r in range(ctx.n_features)
+    ]
+
+
+@pytest.mark.parametrize("encoder", [encode.encode_bdd2, encode.encode_maxsat])
+@pytest.mark.parametrize("k, m, depth", [(45, 200, 2), (6, 30, 3), (1, 5, 1)])
+def test_link_family_expands_to_the_reference_links(encoder, k, m, depth):
+    ds = random_dataset(random.Random(k + m), k=k, m=m, consistent=True)
+    formula, ctx = encoder(ds, depth)
+    head, links, tail = formula.hard.parts
+    assert isinstance(links, cnf.ValueLinks)
+    reference = _reference_links(ctx, ds)
+    assert links.clauses() == reference
+    assert len(formula.hard) == len(head) + len(reference) + len(tail)
+    assert formula.hard == head + reference + tail
+    assert len(formula.hard.parts) == 1  # expanded once, and kept
+
+
+def test_counting_and_emitting_leave_the_link_family_unexpanded(monkeypatch):
+    ds = random_dataset(random.Random(1), k=45, m=200, consistent=True)
+
+    def no_lists(self):
+        raise AssertionError("the link family was expanded")
+
+    monkeypatch.setattr(cnf.ValueLinks, "clauses", no_lists)
+    for variant, encoder, emit in (
+        (encode.MAXSAT, encode.encode_maxsat, cnf.emit_dimacs_wcnf),
+        (encode.BDD2, encode.encode_bdd2, cnf.emit_dimacs_cnf),
+    ):
+        formula, _ = encoder(ds, 2)
+        assert len(formula.hard) == 19257
+        assert cnf.literal_count(formula) == encode.literal_count(ds, 2, variant)
+        emit(formula, io.StringIO())
+        repr(formula)
+        assert any(isinstance(part, cnf.ValueLinks) for part in formula.hard.parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 9))
+def test_rendered_link_family_matches_a_line_by_line_writer(seed, chunk):
+    rng = random.Random(seed)
+    k, depth, m = rng.randint(0, 5), rng.randint(0, 3), rng.randint(0, 6)
+    sel = [[rng.randint(1, 40) for _ in range(depth)] for _ in range(k)]
+    val = [[rng.randint(1, 40) for _ in range(m)] for _ in range(depth)]
+    rows = [[rng.randint(0, 1) for _ in range(k)] for _ in range(m)]
+
+    def build():
+        f = cnf.Formula(40)
+        f.add_hard([1, -2])
+        f.add_value_links(cnf.ValueLinks(sel, val, rows))
+        f.add_hard([-3])
+        f.add_soft([4], 2)
+        return f
+
+    rendered = build()
+    default = cnf._EMIT_CHUNK
+    try:
+        cnf._EMIT_CHUNK = chunk
+        text = cnf.dimacs_wcnf(rendered)
+    finally:
+        cnf._EMIT_CHUNK = default
+    assert isinstance(rendered.hard.parts[1], cnf.ValueLinks)
+    assert cnf.literal_count(rendered) == sum(map(len, build().hard)) + 1
+    assert text == _line_by_line_wcnf(build())
+
+
+@pytest.mark.parametrize("where", ["sel", "val"])
+def test_link_family_out_of_range_raises_the_checked_message_and_adds_nothing(where):
+    ds = random_dataset(random.Random(4), k=3, m=4, consistent=True)
+    formula, ctx = encode.encode_bdd2(ds, 2)
+    n = formula.var_count
+    sel = [list(row) for row in ctx.a]
+    val = [list(row) for row in ctx.d]
+    if where == "sel":
+        sel[2][1] = n + 1
+    else:
+        val[1][3] = -(n + 2)
+    links = cnf.ValueLinks(sel, val, ds.features)
+    with pytest.raises(cnf.FormulaError) as expected:
+        for clause in links.clauses():
+            formula._checked(clause)
+    before = (len(formula.hard), list(formula.hard))
+    with pytest.raises(cnf.FormulaError) as raised:
+        formula.add_value_links(links)
+    assert str(raised.value) == str(expected.value)
+    assert (len(formula.hard), list(formula.hard)) == before
+
+
 def test_parse_model_signed_dialect():
     assert cnf.parse_model("s SATISFIABLE\nv 1 -2 0\n") == {1: 1, 2: 0}
 
