@@ -111,17 +111,10 @@ class Clauses(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def _tail(self) -> list[list[int]]:
+    def extend(self, clauses: Iterable[list[int]]) -> None:
         if type(self.parts[-1]) is not list:
             self.parts.append([])
-        return self.parts[-1]
-
-    def append(self, clause: list[int]) -> None:
-        self._tail().append(clause)
-        self._len += 1
-
-    def extend(self, clauses: Iterable[list[int]]) -> None:
-        tail = self._tail()
+        tail = self.parts[-1]
         before = len(tail)
         tail.extend(clauses)
         self._len += len(tail) - before
@@ -194,7 +187,7 @@ class Formula:
         return lits
 
     def add_hard(self, clause: Iterable[int]) -> None:
-        self.hard.append(self._checked(clause))
+        self.add_hard_clauses([list(clause)])
 
     def add_hard_clauses(self, clauses: list[list[int]]) -> None:
         """Append freshly built clauses, which the formula then owns.
@@ -275,18 +268,15 @@ def at_most_k(formula: Formula, lits: Iterable[int], k: int) -> None:
     if k >= n:
         return
     if k == 0:
-        for x in lits:
-            formula.add_hard([-x])
+        formula.add_hard_clauses([[-x] for x in lits])
         return
     if k == 1:
-        add = formula.add_hard
         # reg[i] reads "at least one of the first i+1 literals is true"
         reg = [formula.fresh_var() for _ in range(n)]
-        add([-lits[0], reg[0]])
+        ladder = [[-lits[0], reg[0]]]
         for i in range(1, n):
-            add([-lits[i], reg[i]])
-            add([-reg[i - 1], reg[i]])
-            add([-lits[i], -reg[i - 1]])
+            ladder += [-lits[i], reg[i]], [-reg[i - 1], reg[i]], [-lits[i], -reg[i - 1]]
+        formula.add_hard_clauses(ladder)
         return
 
     clauses: list[list[int]] = []

@@ -209,15 +209,27 @@ def load_csv(path, label_column: str) -> RawTable:
     body = rows[1:]
     if not body:
         raise DataError("empty dataset")
-    if label_column not in header:
-        raise DataError(f"missing label column {label_column!r}")
-    for i, row in enumerate(body, start=1):
-        if len(row) != len(header):
-            raise DataError(f"ragged row {i}")
     return RawTable(
         columns=header,
         rows=tuple(tuple(row) for row in body),
         label_column=label_column,
+    )
+
+
+def _indicator_rows(
+    raw: RawTable, encoders: Sequence[tuple[int, str]]
+) -> tuple[tuple[int, ...], ...]:
+    """Per row of ``raw``, the indicators ``cell == value`` of the encoders.
+
+    Each ``(column index, value)`` encoder gives one 0/1 column, built over
+    the transposed table; the columns are zipped back into rows.  A table
+    without encoders still gives one empty row per row.
+    """
+    if not (raw.rows and encoders):
+        return ((),) * len(raw.rows)
+    columns = tuple(zip(*raw.rows))
+    return tuple(
+        zip(*([1 if v == value else 0 for v in columns[c]] for c, value in encoders))
     )
 
 
@@ -259,12 +271,8 @@ def one_hot_binarize(raw: RawTable) -> Dataset:
                 specs.append((column, value))
                 encoders.append((col_idx, value))
 
-    features = tuple(
-        tuple(1 if row[col_idx] == positive else 0 for col_idx, positive in encoders)
-        for row in raw.rows
-    )
     return Dataset(
-        features=features,
+        features=_indicator_rows(raw, encoders),
         labels=labels,
         feature_names=tuple(names),
         label_names=(label_values[0], label_values[1]),
@@ -298,14 +306,10 @@ def bind_like(
         if value not in label_names:
             raise DataError(f"row {i} has unknown label value {value!r}")
         labels.append(label_names.index(value))
-    features = tuple(
-        tuple(1 if row[col_idx] == positive else 0 for col_idx, positive in encoders)
-        for row in raw.rows
-    )
     if feature_names is None:
         feature_names = [f"{column}={positive}" for column, positive in feature_specs]
     return Dataset(
-        features=features,
+        features=_indicator_rows(raw, encoders),
         labels=tuple(labels),
         feature_names=tuple(feature_names),
         label_names=(label_names[0], label_names[1]),

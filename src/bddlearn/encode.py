@@ -22,7 +22,6 @@ produced by an external solver in a later process.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -84,17 +83,6 @@ class EncodingContext:
             else None,
             feature_names=tuple(names) if names is not None else None,
         )
-
-
-def write_context(ctx: EncodingContext, path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        json.dump(ctx.to_json(), out, indent=1)
-        out.write("\n")
-
-
-def read_context(path) -> EncodingContext:
-    with open(path, encoding="utf-8") as handle:
-        return EncodingContext.from_json(json.load(handle))
 
 
 def rel(i: int, j: int, depth: int) -> int:
@@ -160,16 +148,12 @@ def _structural_constraints(formula: cnf.Formula, ctx: EncodingContext) -> None:
         cnf.exactly_one(formula, [ctx.a[r][i] for r in range(k)])
     # the table is a bead: some cell differs from its opposite-half twin
     half = 1 << (depth - 1)
-    xors = []
-    for j in range(half):
-        x, y = ctx.c[j], ctx.c[j + half]
-        t = formula.fresh_var()
-        formula.add_hard([-t, x, y])
-        formula.add_hard([-t, -x, -y])
-        formula.add_hard([t, -x, y])
-        formula.add_hard([t, x, -y])
-        xors.append(t)
-    formula.add_hard(xors)
+    xors = [formula.fresh_var() for _ in range(half)]
+    bead: list[list[int]] = []
+    for t, x, y in zip(xors, ctx.c, ctx.c[half:]):
+        bead += [-t, x, y], [-t, -x, -y], [t, -x, y], [t, x, -y]
+    bead.append(xors)
+    formula.add_hard_clauses(bead)
 
 
 def encode_bdd1(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingContext]:
@@ -185,6 +169,7 @@ def encode_bdd1(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingCont
     formula, ctx = _new_context(dataset, depth, BDD1)
     _structural_constraints(formula, ctx)
     n_cells = 1 << depth
+    clauses: list[list[int]] = []
     for q, row in enumerate(dataset.features):
         sign = 1 if dataset.labels[q] == 1 else -1
         for j in range(n_cells):
@@ -194,7 +179,8 @@ def encode_bdd1(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingCont
                 for r in range(ctx.n_features):
                     if row[r] != bit:
                         clause.append(ctx.a[r][i])
-            formula.add_hard(clause)
+            clauses.append(clause)
+    formula.add_hard_clauses(clauses)
     return formula, ctx
 
 

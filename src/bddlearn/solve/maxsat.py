@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 
 from .. import cnf
-from .cdcl import TIMEOUT, UNSAT, CdclSolver, SatStats
+from .cdcl import TIMEOUT, UNSAT, SatStats, sat_solve
 
 OPTIMUM = "OPTIMUM"
 FEASIBLE = "FEASIBLE"
@@ -128,10 +128,8 @@ def maxsat_solve(
             cnf.at_most_k(working, relax, best_cost - 1)
             if expired():  # the bound's tree takes tens of ms at a large bound
                 return result(False)
-        solver = CdclSolver(
-            working.hard.as_list(), working.var_count, seed=seed, deadline=deadline
-        )
-        res = solver.solve(remaining())
+        # a model comes back checked against the bound and every hard clause
+        res = sat_solve(working, remaining(), seed)
         _merge_stats(stats, res.stats)
         iterations += 1
         if res.status == TIMEOUT:
@@ -140,10 +138,6 @@ def maxsat_solve(
             if best_cost > len(relax):
                 raise SolverError("hard clauses are unsatisfiable")
             return result(True)
-        # the input clauses only: the cardinality network is the solver's
-        # concern, and the cost check below guards the bound
-        if not cnf.verify_model(relaxed, res.model):
-            raise RuntimeError("internal error: model fails hard-clause check")
         if repair is None:
             repair = cnf.soft_unit_repair(formula)
         # drop the auxiliary variables, then clear gratuitous soft failures

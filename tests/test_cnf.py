@@ -133,6 +133,17 @@ def test_at_most_k_memory_ceiling_at_a_large_bound():
     assert (f.var_count - 500, len(f.hard)) == (4085, 83686)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_at_most_k_with_a_bad_literal_adds_nothing(k):
+    # each bound goes in as one screened batch, so a literal outside the
+    # formula fails it before any of its clauses is appended
+    f = cnf.Formula(2)
+    f.add_hard([1, 2])
+    with pytest.raises(cnf.FormulaError, match="literal -99 outside variable range"):
+        cnf.at_most_k(f, [1, 2, 99], k)
+    assert f.hard == [[1, 2]]
+
+
 def test_exactly_one_single_literal():
     f = cnf.Formula(1)
     cnf.exactly_one(f, [1])

@@ -140,6 +140,12 @@ def test_one_hot_drops_constant_columns():
     assert ds.feature_names == ("col",)
 
 
+def test_bind_like_on_a_table_without_rows():
+    ds = one_hot_binarize(RawTable(("col", "label"), (("a", "0"), ("b", "1")), "label"))
+    bound = bind_like(RawTable(("col", "label"), (), "label"), ds.feature_specs, ds.label_names)
+    assert bound == Dataset((), (), ("col=b",), ("0", "1"), (("col", "b"),))
+
+
 def test_bind_like_matches_training_encoding(tmp_path):
     train_raw = RawTable(
         columns=("col", "label"),

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -14,9 +15,7 @@ from bddlearn.encode import (
     encode_bdd2,
     encode_maxsat,
     ordered_tail,
-    read_context,
     rel,
-    write_context,
 )
 from bddlearn.solve import maxsat_solve, sat_solve
 from oracles import best_split_error, random_dataset
@@ -332,11 +331,9 @@ def test_decoded_table_is_always_a_bead():
         assert is_bead(table.cells)
 
 
-def test_context_json_round_trip(tmp_path, demo8):
+def test_context_json_round_trip(demo8):
     formula, ctx = encode_maxsat(demo8, 2)
-    path = tmp_path / "ctx.json"
-    write_context(ctx, path)
-    restored = read_context(path)
+    restored = encode.EncodingContext.from_json(json.loads(json.dumps(ctx.to_json())))
     assert restored == ctx
     res = maxsat_solve(formula, budget=30)
     assert decode(res.model, restored) == decode(res.model, ctx)

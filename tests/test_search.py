@@ -72,6 +72,14 @@ def test_min_depth_rejects_inconsistent_data():
         min_depth(ds, 3, budget=10)
 
 
+def test_min_depth_on_two_labels_without_features_is_a_data_error():
+    # both rows share the empty feature vector; no depth can separate them,
+    # and depth 0 is no probe, so the consistency check must answer
+    ds = dataset_from_bits([(), ()], [0, 1])
+    with pytest.raises(DataError, match="inconsistent.*no depth admits"):
+        min_depth(ds, 1, budget=10)
+
+
 def test_min_depth_single_class_short_circuit():
     ds = dataset_from_bits([(0, 1), (1, 0)], [1, 1])
     result = min_depth(ds, 5, budget=10)
@@ -567,7 +575,7 @@ def _no_solver(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a solver or its formula was built")
 
-    for owner in (solve.cdcl, solve.maxsat, solve):
+    for owner in (solve.cdcl, solve):
         monkeypatch.setattr(owner, "CdclSolver", refuse)
     for encoder in ("encode_bdd2", "encode_maxsat"):
         monkeypatch.setattr(search.encode, encoder, refuse)
@@ -592,14 +600,13 @@ def test_a_perfect_seed_is_returned_without_a_solver(monkeypatch, demo8, mode):
 
 def _count_solvers(monkeypatch) -> list:
     built = []
-    for owner in (solve.cdcl, solve.maxsat):
-        cls = owner.CdclSolver
+    cls = solve.cdcl.CdclSolver
 
-        def counted(*args, _cls=cls, **kwargs):
-            built.append(1)
-            return _cls(*args, **kwargs)
+    def counted(*args, **kwargs):
+        built.append(1)
+        return cls(*args, **kwargs)
 
-        monkeypatch.setattr(owner, "CdclSolver", counted)
+    monkeypatch.setattr(solve.cdcl, "CdclSolver", counted)
     return built
 
 

@@ -8,7 +8,7 @@ import pytest
 from bddlearn import cnf
 from bddlearn.data import dataset_from_bits
 from bddlearn.encode import decode, encode_bdd2, encode_maxsat, ordered_tail
-from bddlearn.solve import maxsat
+from bddlearn.solve import cdcl
 from bddlearn.solve import (
     FEASIBLE,
     OPTIMUM,
@@ -320,7 +320,7 @@ def test_unsatisfiable_hard_clauses_raise_under_a_bound_that_excludes_nothing():
 
 def test_no_solver_is_built_after_the_deadline(monkeypatch):
     formula, _ = encode_maxsat(random_dataset(random.Random(5), k=5, m=20), 2)
-    build, solver_cls = cnf.at_most_k, maxsat.CdclSolver
+    build, solver_cls = cnf.at_most_k, cdcl.CdclSolver
     built = []
 
     def slow_at_most_k(*args):
@@ -332,7 +332,7 @@ def test_no_solver_is_built_after_the_deadline(monkeypatch):
         return solver_cls(*args, **kwargs)
 
     monkeypatch.setattr(cnf, "at_most_k", slow_at_most_k)
-    monkeypatch.setattr(maxsat, "CdclSolver", counting_solver)
+    monkeypatch.setattr(cdcl, "CdclSolver", counting_solver)
     res = maxsat_solve(formula, budget=0.3)
     assert res.status == FEASIBLE and res.cost > 0
     assert len(built) == 1  # the first call's solver only
