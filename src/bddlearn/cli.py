@@ -95,6 +95,15 @@ def _manifest(data_path, config: dict, timings: dict, outputs: list[str]) -> dic
     }
 
 
+def _checked_options(args, check):
+    """``check()``, whose ValueError names an option out of range: a
+    one-line usage error.  ``check`` reads the options only, no data."""
+    try:
+        return check()
+    except ValueError as exc:
+        raise UsageError(f"bddlearn {args.command}: {exc}") from None
+
+
 def _load_dataset(path, label: str) -> Dataset:
     return one_hot_binarize(load_csv(path, label))
 
@@ -162,6 +171,7 @@ def cmd_binarize(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    _checked_options(args, lambda: encode.check_depth(args.depth))
     dataset = _load_dataset(args.input, args.label)
     encoder, emitter = ENCODINGS[args.model]
     t0 = time.monotonic()
@@ -194,14 +204,17 @@ def _learn_config(args) -> LearnConfig:
             max_depth=args.preselect_depth or 2 * args.depth,
             min_leaf=args.preselect_min_leaf,
         )
-    return LearnConfig(
-        depth=args.depth,
-        mode=args.mode,
-        bias=args.bias,
-        preselect=preselect,
-        solver_cmd=_default_solver(args.solver),
-        budget=args.budget,
-        seed=args.seed,
+    return _checked_options(
+        args,
+        lambda: LearnConfig(
+            depth=args.depth,
+            mode=args.mode,
+            bias=args.bias,
+            preselect=preselect,
+            solver_cmd=_default_solver(args.solver),
+            budget=args.budget,
+            seed=args.seed,
+        ),
     )
 
 
@@ -240,6 +253,13 @@ def cmd_learn(args) -> int:
 
 
 def cmd_mindepth(args) -> int:
+    if args.h0 < 1:
+        raise UsageError(f"bddlearn {args.command}: h0 must be >= 1")
+    # the options of the first probe, which starts at depth min(h0, K)
+    _checked_options(
+        args,
+        lambda: LearnConfig(depth=args.h0, mode=search.MODE_SAT, budget=args.budget),
+    )
     dataset = _load_dataset(args.input, args.label)
     t0 = time.monotonic()
     result = min_depth(
@@ -461,7 +481,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (LearnError, solve.SolverError) as exc:
+    except (LearnError, solve.SolverError, cnf.ModelParseError, encode.DecodeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -98,7 +98,8 @@ def rel(i: int, j: int, depth: int) -> int:
     return ((j - 1) >> (depth - i)) & 1
 
 
-def _check_depth(depth: int) -> None:
+def check_depth(depth: int) -> None:
+    """Raise ValueError unless ``depth`` is one the encoders support."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > _MAX_DEPTH:
@@ -164,7 +165,7 @@ def encode_bdd1(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingCont
     would route ``q`` away from cell ``j``; placements that agree with the
     cell are dropped up front.
     """
-    _check_depth(depth)
+    check_depth(depth)
     _require_consistent(dataset)
     formula, ctx = _new_context(dataset, depth, BDD1)
     _structural_constraints(formula, ctx)
@@ -218,7 +219,7 @@ def _feature_value_links(formula: cnf.Formula, ctx: EncodingContext, dataset: Da
 
 def encode_bdd2(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingContext]:
     """Improved encoding with per-example selected-feature values."""
-    _check_depth(depth)
+    check_depth(depth)
     _require_consistent(dataset)
     formula, ctx = _new_context(dataset, depth, BDD2)
     _structural_constraints(formula, ctx)
@@ -242,7 +243,7 @@ def literal_count(dataset: Dataset, depth: int, variant: str = BDD2) -> int:
     """
     if variant not in (BDD2, MAXSAT):
         raise ValueError(f"no closed-form literal count for {variant!r}")
-    _check_depth(depth)
+    check_depth(depth)
     if variant == BDD2:
         _require_consistent(dataset)
     k, m = dataset.k, dataset.m
@@ -275,7 +276,7 @@ def encode_maxsat(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingCo
     and wrongly iff exactly one fails, which forces ``e[q]``; so the
     optimum cost counts misclassified examples, with ``m`` soft clauses.
     """
-    _check_depth(depth)
+    check_depth(depth)
     formula, ctx = _new_context(dataset, depth, MAXSAT)
     _structural_constraints(formula, ctx)
     _feature_value_links(formula, ctx, dataset)

@@ -7,13 +7,12 @@ first leaf is the greedy classifier.  The walk gives every answer, and
 the solver only certifies it: a perfect leaf is returned without a
 solver, so ``learn``, ``min_depth`` and cross-validation may return a
 different perfect ordering and table than the solver would; with no
-perfect leaf, SAT mode has the solver prove UNSAT on the few rows of the
-walk's core instead of the whole dataset, and MaxSAT mode has it prove
-the walk's optimum at one error below, on the rows of the walk's cost
-core.  A walk the budget stops returns its best leaf in MaxSAT mode as
-the anytime model.  The formula is built once, after the walk, and only
-when a solver runs; the external path encodes the whole dataset and
-decodes the external solver's model.
+perfect leaf, the solver refutes one error below the mode's target, the
+walk's optimum in MaxSAT mode and 1 in SAT mode, on the rows of the
+walk's core instead of the whole dataset.  A walk the budget stops
+returns its best leaf in MaxSAT mode as the anytime model.  The formula
+is built once, after the walk, and only when a solver runs; the external
+path encodes the whole dataset and decodes the external solver's model.
 ``model_from_table`` is the one way from an ordering and truth table to
 a model: unknown-cell marking, the configured generalization bias, the
 diagram and the training accuracy.  ``min_depth`` finds the smallest
@@ -75,8 +74,7 @@ class LearnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        encode.check_depth(self.depth)
         if self.budget <= 0:
             raise ValueError("budget must be > 0")
         if self.mode not in (MODE_SAT, MODE_MAXSAT):
@@ -226,23 +224,22 @@ def best_subset(
     The walk also builds a row core.  Every leaf it leaves mixed must err
     at least a target on the core rows, counted as ``min(pos, neg)``
     summed over its cells, a lower bound on the errors of any table of
-    its subset there.  The target is 1, or with ``cost_core`` the walk's
-    least cost so far, this leaf included.  A leaf below its target tops
-    the core up: it walks its mixed cells in order and adds each cell's
-    rows pair by pair, lowest positive and lowest negative row first,
-    until the target is met; at target 1 that is the lowest pair of its
-    first mixed cell.  A leaf that still falls short owes its cost to the
+    its subset there.  The target is 1, the SAT mode's, or with
+    ``cost_core`` the walk's least cost so far, this leaf included.  A
+    leaf below its target tops the core up: it walks its mixed cells in
+    order and adds each cell's rows pair by pair, lowest positive and
+    lowest negative row first, until the target is met; at target 1 that
+    is the lowest pair of its first mixed cell.  A leaf that still falls short owes its cost to the
     flip of a constant table and puts every row in the core.  A finished
     walk with no perfect leaf returns the core's sorted row indices; one
-    that ends on a perfect leaf, the empty tuple.  At target 1 the core
-    holds at most ``2 * C(k, depth)`` rows and no subset classifies it,
-    so the ``encode_bdd2`` formula of the core is unsatisfiable, and with
-    it the full formula, whose clauses include the core's up to a
-    renaming of the ``d`` variables (the example-subset argument of
-    Avellaneda, AAAI 2020).  With ``cost_core`` every subset errs at
-    least the walk's optimum on the core rows; a model of the full
-    ``encode_maxsat`` formula, restricted to them, errs no more on the
-    core's formula, so refuting one error less there proves the optimum.
+    that ends on a perfect leaf, the empty tuple.  Every subset then errs
+    at least the final target on the core rows, 1 or the walk's optimum.
+    A model of the full ``encode_maxsat`` formula, restricted to them,
+    errs no more on the core's formula, whose clauses are the full
+    formula's for those rows up to a renaming of the ``d`` and error
+    variables, so refuting ``target - 1`` errors there refutes it on the
+    full formula (the example-subset argument of Avellaneda, AAAI 2020).
+    At target 1 the core holds at most ``2 * C(k, depth)`` rows.
 
     ``stop`` is asked before each feature is tried; once it answers true
     the walk ends with its best leaf so far and no core, or returns None
@@ -449,22 +446,23 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     On the embedded path the answer always comes from :func:`best_subset`,
     whose walk the budget bounds, and the solver only certifies it.  A
     perfect leaf is the witness: optimal, returned without a solver.  A
-    finished walk with no perfect leaf hands SAT mode its row core, whose
-    ``encode_bdd2`` formula the solver refutes (its UNSAT implies the full
-    formula's), and MaxSAT mode its optimum and cost core, the rows on
-    which every subset errs at least that optimum.  The solver proves the
-    optimum at one error below on the core's ``encode_maxsat`` formula,
-    which keeps the tail-sorted orderings only
-    (:func:`encode.ordered_tail`); ``core_rows`` reports the rows it
-    encodes, 0 when no proof is encoded.  A walk stopped by the budget
-    before its first leaf raises :class:`SolverTimeoutError`; after it, the
-    walk's best leaf is returned in MaxSAT mode as the anytime model, not
-    optimal and without a solver, and SAT mode times out.  A budget that
-    runs out after the walk returns the same anytime model.  Every model
-    returned is re-checked row by row against its cost, and a solver
-    model is an internal error.  ``seed_cost`` reports the walk's first
-    leaf, the greedy classifier.  The external path encodes the whole
-    dataset and decodes the external solver's model.
+    finished walk with no perfect leaf hands over its core, the rows on
+    which every subset errs at least a target: the walk's optimum in
+    MaxSAT mode, 1 in SAT mode.  One certificate serves both modes: the
+    solver refutes ``target - 1`` errors on the core's ``encode_maxsat``
+    formula, which keeps the tail-sorted orderings only
+    (:func:`encode.ordered_tail`).  In MaxSAT mode that proves the
+    optimum, and ``core_rows`` reports the rows it encodes, 0 when no
+    proof is encoded; in SAT mode it proves that no perfect classifier
+    exists.  A walk stopped by the budget before its first leaf raises
+    :class:`SolverTimeoutError`; after it, the walk's best leaf is
+    returned in MaxSAT mode as the anytime model, not optimal and without
+    a solver, and SAT mode times out.  A budget that runs out after the
+    walk returns the same anytime model in MaxSAT mode and times out in
+    SAT mode.  Every model returned is re-checked row by row against its
+    cost, and a solver model is an internal error.  ``seed_cost`` reports
+    the walk's first leaf, the greedy classifier.  The external path
+    encodes the whole dataset and decodes the external solver's model.
     """
     deadline = time.monotonic() + cfg.budget
 
@@ -517,7 +515,8 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
                 formula, cfg.solver_cmd, workdir, budget=remaining()
             )
         if isinstance(result, solve.SatResult):
-            _raise_unless_sat(result, cfg)
+            if result.status == solve.UNSAT:
+                raise _insufficient(cfg.depth)
             optimal, extra = True, {}
         else:
             if result.model is None:
@@ -554,34 +553,29 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
 
     if best.cost == 0:
         return answer(True)
-    if cfg.mode == MODE_SAT:
-        if walk.core is None:
+    if walk.core is None:  # stopped by the budget
+        if cfg.mode == MODE_SAT:
             raise SolverTimeoutError(f"no answer within {cfg.budget}s")
-        formula, _ = encode.encode_bdd2(work.subset(walk.core), cfg.depth)
-        result = solve.sat_solve(formula, budget=remaining(), seed=cfg.seed)
-        _raise_unless_sat(result, cfg)
-        raise RuntimeError("internal error: the solver beat the subset walk")
-    if walk.core is None:  # stopped: the anytime model
-        return answer(False)
+        return answer(False)  # the anytime model
+    target = best.cost if cfg.mode == MODE_MAXSAT else 1
     formula, ctx = encode.encode_maxsat(work.subset(walk.core), cfg.depth)
     formula.add_hard_clauses(encode.ordered_tail(ctx))
-    # a budget spent by now builds no solver, and the walk's optimum comes
-    # back as the anytime model
+    # a budget spent by now builds no solver: MaxSAT mode returns the
+    # walk's optimum as the anytime model, and SAT mode times out
     result = solve.maxsat_solve(
-        formula, budget=deadline - time.monotonic(), seed=cfg.seed, upper=best.cost
+        formula, budget=deadline - time.monotonic(), seed=cfg.seed, upper=target
     )
     if result.model is not None:
         raise RuntimeError("internal error: the solver beat the subset walk")
-    return answer(result.optimal, result.stats, result.iterations, len(walk.core))
+    if cfg.mode == MODE_MAXSAT:
+        return answer(result.optimal, result.stats, result.iterations, len(walk.core))
+    if result.optimal:
+        raise _insufficient(cfg.depth)
+    raise SolverTimeoutError(f"no answer within {cfg.budget}s")
 
 
-def _raise_unless_sat(result: solve.SatResult, cfg: LearnConfig) -> None:
-    if result.status == solve.TIMEOUT:
-        raise SolverTimeoutError(f"no answer within {cfg.budget}s")
-    if result.status == solve.UNSAT:
-        raise DepthInsufficientError(
-            f"depth {cfg.depth} insufficient for perfect classification"
-        )
+def _insufficient(depth: int) -> DepthInsufficientError:
+    return DepthInsufficientError(f"depth {depth} insufficient for perfect classification")
 
 
 @dataclass
@@ -609,9 +603,10 @@ def min_depth(
     terminates.  Single-class data short-circuits to the constant model.
     A SAT probe answers with the first perfect leaf of the subset walk
     (see :func:`learn`).  UNSAT answers, and so the ``unsat_depth``
-    certificate, come from the solver: it refutes the formula of the
-    finished walk's row core, whose UNSAT implies that of the whole
-    dataset.  No probe goes above K, the number of features.
+    certificate, come from the solver: it refutes a perfect classifier on
+    the ``encode_maxsat`` formula of the finished walk's core, which
+    refutes it on the whole dataset.  No probe goes above K, the number
+    of features.
     """
     if h0 < 1:
         raise ValueError("h0 must be >= 1")

@@ -146,6 +146,50 @@ def test_learn_depth_insufficient_is_solver_error(tmp_path, demo8_csv, capsys):
     assert "depth 1 insufficient" in capsys.readouterr().err
 
 
+def _wide_csv(tmp_path):
+    """17 columns of bits, each set on one row: 17 or more features."""
+    path = tmp_path / "wide.csv"
+    lines = [",".join(f"c{r}" for r in range(17)) + ",label"]
+    for q in range(18):
+        lines.append(",".join("1" if q == r else "0" for r in range(17)) + f",{q % 2}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "wide, argv, message",
+    [
+        (False, ["learn", "--depth", "0"], "depth must be >= 1"),
+        (False, ["learn", "--depth", "2", "--budget", "0"], "budget must be > 0"),
+        (False, ["cv", "--depth", "0"], "depth must be >= 1"),
+        (False, ["cv", "--depth", "2", "--budget", "0"], "budget must be > 0"),
+        (False, ["mindepth", "--h0", "0"], "h0 must be >= 1"),
+        (False, ["encode", "--depth", "0"], "depth must be >= 1"),
+        (True, ["learn", "--depth", "17"], "depth 17 exceeds the supported maximum 16"),
+        (True, ["cv", "--depth", "17"], "depth 17 exceeds the supported maximum 16"),
+        (True, ["mindepth", "--h0", "17"], "depth 17 exceeds the supported maximum 16"),
+        (True, ["encode", "--depth", "17"], "depth 17 exceeds the supported maximum 16"),
+    ],
+)
+def test_an_option_out_of_range_is_a_one_line_usage_error(
+    tmp_path, demo8_csv, capsys, wide, argv, message
+):
+    data = _wide_csv(tmp_path) if wide else demo8_csv
+    command, *options = argv
+    out = tmp_path / "out"
+    outputs = {
+        "learn": ["--out", str(out / "m.json")],
+        "cv": ["--out-report", str(out / "r.json"), "--out-csv", str(out / "r.csv")],
+        "mindepth": ["--out", str(out / "m.json")],
+        "encode": [str(out / "f.cnf")],
+    }[command]
+    assert run(command, str(data), "--label", "label", *options, *outputs) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"bddlearn {command}: {message}"]
+    assert not out.exists()
+
+
 def test_learn_output_is_idempotent(tmp_path, demo8_csv):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
@@ -361,6 +405,42 @@ def test_decode_round_trip_without_resolving(
     capsys.readouterr()
     assert run("evaluate", str(model_path), str(demo8_csv), "--label", "label") == 0
     assert capsys.readouterr().out.strip() == "1.000000"
+
+
+@pytest.mark.parametrize(
+    "solver_output, message",
+    [
+        ("s UNSATISFIABLE\n", "solver error: solver reported UNSATISFIABLE"),
+        ("s SATISFIABLE\nv -1 0\n", "solver error: corrupt model: position 1 selects 0 features"),
+    ],
+)
+def test_decode_of_a_failed_solver_run_is_a_solver_error(
+    tmp_path, demo8_csv, capsys, solver_output, message
+):
+    cnf_path = tmp_path / "f.cnf"
+    argv = ["encode", str(demo8_csv), str(cnf_path), "--label", "label", "--depth", "2"]
+    assert run(*argv) == 0
+    solver_out = tmp_path / "solver.out"
+    solver_out.write_text(solver_output)
+    model_path = tmp_path / "decoded.json"
+    code = run(
+        "decode",
+        "--context",
+        str(tmp_path / "f.context.json"),
+        "--solver-output",
+        str(solver_out),
+        "--data",
+        str(demo8_csv),
+        "--label",
+        "label",
+        "--out",
+        str(model_path),
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [message]
+    assert not model_path.exists()
 
 
 @pytest.mark.parametrize("bias", ["S", "P", "C"])

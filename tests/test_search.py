@@ -249,6 +249,17 @@ def test_learn_short_budget_on_a_large_dataset_is_feasible():
     assert round((1 - model.train_accuracy) * ds.m) == cost
 
 
+@pytest.mark.parametrize("budget", [0.3, 1.0])
+def test_learn_returns_within_its_budget_on_a_large_dataset(budget):
+    # the walk, the proof's encoding and its solver all look at the one
+    # deadline; what is left is a single propagation or a model check
+    ds = random_dataset(random.Random(1), k=40, m=500)
+    start = time.monotonic()
+    model = learn(ds, LearnConfig(depth=3, mode="maxsat", budget=budget))
+    assert time.monotonic() - start <= budget + 0.5
+    assert round((1 - model.train_accuracy) * ds.m) == model.solver_stats["cost"]
+
+
 def _suboptimal_seeds(rng, count, k, m, depth):
     """Datasets whose greedy classifier errs more than the optimum."""
     found = []
@@ -872,32 +883,59 @@ def test_a_row_core_admits_no_perfect_classifier(k, m, depth, data):
     assert best_split_error(ds.subset(found), depth) > 0
 
 
-def test_the_certificate_refutes_the_core_rows_only(monkeypatch):
-    # no single feature classifies this data; the solver's UNSAT answer is
-    # on a formula with d variables for the core rows and no others
-    ds = random_dataset(random.Random(4), k=6, m=40, consistent=True)
-    core = search.best_subset(ds, 1).core
-    assert len(core) < ds.m
+def _recorded_certificates(monkeypatch):
+    """Record each ``encode_maxsat`` call of ``learn`` as ``(dataset,
+    formula, ctx)`` and each ``maxsat_solve`` call as ``(formula, upper,
+    result)``."""
     encoded, answers = [], []
-    encode_fn, solve_fn = search.encode.encode_bdd2, search.solve.sat_solve
+    encode_fn, solve_fn = search.encode.encode_maxsat, search.solve.maxsat_solve
 
     def recorded_encode(dataset, depth):
         encoded.append((dataset, *encode_fn(dataset, depth)))
         return encoded[-1][1:]
 
     def recorded_solve(formula, **kwargs):
-        answers.append(solve_fn(formula, **kwargs))
-        return answers[-1]
+        answers.append((formula, kwargs["upper"], solve_fn(formula, **kwargs)))
+        return answers[-1][2]
 
-    monkeypatch.setattr(search.encode, "encode_bdd2", recorded_encode)
-    monkeypatch.setattr(search.solve, "sat_solve", recorded_solve)
+    monkeypatch.setattr(search.encode, "encode_maxsat", recorded_encode)
+    monkeypatch.setattr(search.solve, "maxsat_solve", recorded_solve)
+    return encoded, answers
+
+
+def test_the_certificate_refutes_the_core_rows_only(monkeypatch):
+    # no single feature classifies this data; the solver proves that no
+    # model errs on fewer than one row, on a formula with d variables for
+    # the core rows and no others
+    ds = random_dataset(random.Random(4), k=6, m=40, consistent=True)
+    core = search.best_subset(ds, 1).core
+    assert len(core) < ds.m
+    encoded, answers = _recorded_certificates(monkeypatch)
     with pytest.raises(DepthInsufficientError):
         learn(ds, LearnConfig(depth=1, mode="sat", budget=60))
     [(dataset, _, ctx)] = encoded
     assert dataset == ds.subset(core)
     assert ctx.n_examples == len(core)
     assert [len(row) for row in ctx.d] == [len(core)]
-    assert [answer.status for answer in answers] == [solve.UNSAT]
+    assert [(upper, answer.status) for _, upper, answer in answers] == [
+        (1, solve.OPTIMUM)
+    ]
+
+
+def test_a_sat_mode_certificate_keeps_the_tail_sorted_orderings_only(monkeypatch):
+    # at depth 3 the certificate of SAT mode carries the lex-leader
+    # clauses of the tail positions, as MaxSAT mode's does
+    ds = random_dataset(random.Random(0), k=6, m=30, consistent=True)
+    assert best_split_error(ds, 3) > 0
+    encoded, answers = _recorded_certificates(monkeypatch)
+    with pytest.raises(DepthInsufficientError):
+        learn(ds, LearnConfig(depth=3, mode="sat", budget=60))
+    [(_, _, ctx)] = encoded
+    [(formula, upper, _)] = answers
+    tail = search.encode.ordered_tail(ctx)
+    assert len(tail) == 6 * 7 // 2 and upper == 1
+    hard = {tuple(clause) for clause in formula.hard}
+    assert all(tuple(clause) in hard for clause in tail)
 
 
 @pytest.mark.parametrize(
