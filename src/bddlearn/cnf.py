@@ -96,10 +96,12 @@ class Clauses(Sequence):
     """The hard clauses of a formula: clause lists and families, in order.
 
     ``parts`` holds lists of clauses and :class:`ValueLinks` families.
-    ``len``, :func:`literal_count` and the DIMACS emitters read a family
-    without building its clauses.  Every other read (iteration, indexing,
-    slicing, ``in``, ``==``) goes through :meth:`as_list`, which expands
-    the families once and keeps the result as the one part.
+    ``len``, :func:`literal_count`, the DIMACS emitters and
+    :class:`~bddlearn.solve.cdcl.CdclSolver` read a family without
+    building its clauses, and :meth:`extend` with another ``Clauses``
+    shares its families by reference.  Every other read (iteration,
+    indexing, slicing, ``in``, ``==``) goes through :meth:`as_list`, which
+    expands the families once and keeps the result as the one part.
     """
 
     __slots__ = ("parts", "_len")
@@ -112,6 +114,13 @@ class Clauses(Sequence):
         return self._len
 
     def extend(self, clauses: Iterable[list[int]]) -> None:
+        if type(clauses) is Clauses:  # its families join unexpanded
+            for part in [*clauses.parts]:
+                if type(part) is list:
+                    self.extend(part)
+                else:
+                    self.add_family(part)
+            return
         if type(self.parts[-1]) is not list:
             self.parts.append([])
         tail = self.parts[-1]
@@ -157,7 +166,7 @@ class Formula:
 
     ``hard`` is a :class:`Clauses` sequence: clause lists and, from
     :meth:`add_value_links`, a clause family that stays unexpanded until a
-    solver or checker iterates the clauses.  Construction is
+    model check or :meth:`copy` iterates the clauses.  Construction is
     single-writer: build the formula, then treat it as immutable (``copy``
     before mutating a shared instance).
     """

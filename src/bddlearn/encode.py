@@ -209,9 +209,9 @@ def _feature_value_links(formula: cnf.Formula, ctx: EncodingContext, dataset: Da
 
     The ``k * m * depth`` clauses ``-a[r][i] | ±d[i][q]`` go to the
     formula as one :class:`cnf.ValueLinks` family, in the order example,
-    position, feature.  Counting and emitting the formula read the family
-    as it is; a solver or checker that iterates ``formula.hard`` expands
-    it once.
+    position, feature.  Counting and emitting the formula, and the
+    embedded solver, read the family as it is; a model check that
+    iterates ``formula.hard`` expands it once.
     """
     assert ctx.d is not None
     formula.add_value_links(cnf.ValueLinks(ctx.a, ctx.d, dataset.features))

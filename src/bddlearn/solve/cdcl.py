@@ -12,6 +12,14 @@ unassigned) and ``watches[lit]`` its watch list, with no index arithmetic
 on the hot path.  Variable-indexed state (level, reason, activity, saved
 phase) stays indexed by ``v``.
 
+Most problem clauses have two literals.  Each is kept only as its other
+literal in the implication lists ``implied[lit]``, which a false ``lit``
+propagates before its watch list (binary clauses apart from the general
+store, as in Chu, Harwood & Stuckey, JSAT 2009).  A literal they imply
+records the reason code ``bin_base - false_lit``, below -1, where a
+clause reason is its index and a decision -1.  Learned clauses, binary or
+not, stay on the watch path.
+
 The VSIDS heap holds at most one current entry ``(-act[v], v)`` per
 variable, flagged in ``in_heap``, and always one for a free variable.  A
 bump of an assigned variable makes its entry stale and clears the flag
@@ -32,6 +40,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from operator import neg
 from random import Random
 
@@ -71,6 +80,13 @@ def _drop(watches: list[list[int]], lit: int, moved: list[int]) -> None:
     watches[lit] = [ci for ci in watches[lit] if ci not in gone]
 
 
+def _all_binary(links: cnf.ValueLinks) -> bool:
+    """Whether every clause of ``links`` holds two variables: no ``sel``
+    variable is also a ``val`` variable, so no clause is a unit or a
+    tautology."""
+    return set(chain(*links.sel)).isdisjoint(chain(*links.val))
+
+
 def _luby(i: int) -> int:
     while True:
         k = i.bit_length()
@@ -82,15 +98,19 @@ def _luby(i: int) -> int:
 class CdclSolver:
     """One solver instance owns its formula; not thread-safe.
 
-    Every clause kept is a fresh list, so the caller's clauses are never
-    mutated and may be shared between solvers.  ``deadline``, a
+    ``clauses`` is a :class:`cnf.Clauses` sequence, read part by part, or
+    a list of clauses.  A problem clause of two literals is kept only in
+    the implication lists; every longer clause kept is a fresh list, so
+    the caller's clauses are never mutated and may be shared between
+    solvers.  A :class:`cnf.ValueLinks` family goes into the implication
+    lists without its clauses being built.  ``deadline``, a
     :func:`time.monotonic` value, bounds construction as ``solve``'s
     budget bounds the search.
     """
 
     def __init__(
         self,
-        clauses: list[list[int]],
+        clauses: cnf.Clauses | list[list[int]],
         var_count: int,
         seed: int = 0,
         max_learnts: int | None = None,
@@ -108,6 +128,11 @@ class CdclSolver:
         self.clauses: list[list[int]] = []
         self.cla_act: list[float] = []
         self.watches: list[list[int]] = [[] for _ in range(2 * var_count + 1)]
+        # implied[lit]: the other literal of each problem binary holding lit
+        self.implied: list[list[int]] = [[] for _ in range(2 * var_count + 1)]
+        # a binary's reason code ``bin_base - lit`` names its false literal
+        self.bin_base = -2 - var_count
+        self.bin_conflict: tuple[int, int] = (0, 0)
         self.act = [0.0] * n1
         self.var_inc = 1.0
         self.cla_inc = 1.0
@@ -117,54 +142,100 @@ class CdclSolver:
         self.seen = bytearray(n1)
         self.stats = SatStats()
         self.ok = True
-        self.n_problem = 0
+        self.n_problem = 0  # long problem clauses; the learned ones follow
+        self.n_binary = 0  # problem binaries, kept as implications only
         self.max_learnts = max_learnts
         self._units: list[int] = []
         self.expired = False  # construction ran past ``deadline``
 
-        # Occurrence counts guide the first decisions; the seeded jitter
-        # keeps distinct seeds on distinct (but reproducible) trajectories.
         kept = self.clauses
         watches = self.watches
-        act = self.act
-        for lo in range(0, len(clauses), _DEADLINE_CHUNK):
-            if deadline is not None and time.monotonic() > deadline:
-                self.expired = True
-                return
-            for clause in clauses[lo : lo + _DEADLINE_CHUNK]:
-                if len(clause) == 2:  # most clauses: no set needed
-                    x, y = clause
-                    if x == -y:
-                        continue
-                    lits = [x, y] if x != y else [x]
-                else:
-                    present = set(clause)
-                    if len(present) == len(clause) and present.isdisjoint(
-                        map(neg, clause)
-                    ):
-                        lits = list(clause)
-                    else:
-                        lits = self._sanitize(clause)
-                        if lits is None:  # tautology
-                            continue
-                if len(lits) > 1:
-                    watches[lits[0]].append(len(kept))
-                    watches[lits[1]].append(len(kept))
-                    kept.append(lits)
-                    for lit in lits:
-                        act[lit if lit > 0 else -lit] += 1e-5
-                elif lits:
-                    self._units.append(lits[0])
-                else:
-                    self.ok = False
+        implied = self.implied
+        occurs = [0] * (2 * var_count + 1)  # by literal, over long clauses
+        parts = clauses.parts if isinstance(clauses, cnf.Clauses) else (clauses,)
+        for part in parts:
+            if isinstance(part, cnf.ValueLinks):
+                if _all_binary(part):
+                    if not self._link(part, deadline):
+                        self.expired = True
+                        return
+                    continue
+                part = part.clauses()
+            for lo in range(0, len(part), _DEADLINE_CHUNK):
+                if deadline is not None and time.monotonic() > deadline:
+                    self.expired = True
                     return
+                for clause in part[lo : lo + _DEADLINE_CHUNK]:
+                    if len(clause) == 2:  # most clauses: no set needed
+                        x, y = clause
+                        if x == -y:
+                            continue
+                        lits = clause if x != y else [x]  # only read
+                    else:
+                        present = set(clause)
+                        if len(present) == len(clause) and present.isdisjoint(
+                            map(neg, clause)
+                        ):
+                            lits = list(clause)
+                        else:
+                            lits = self._sanitize(clause)
+                            if lits is None:  # tautology
+                                continue
+                    if len(lits) > 2:
+                        ci = len(kept)
+                        watches[lits[0]].append(ci)
+                        watches[lits[1]].append(ci)
+                        kept.append(lits)
+                        for lit in lits:
+                            occurs[lit] += 1
+                    elif len(lits) == 2:
+                        x, y = lits
+                        implied[x].append(y)
+                        implied[y].append(x)
+                    elif lits:
+                        self._units.append(lits[0])
+                    else:
+                        self.ok = False
+                        return
         self.n_problem = len(kept)
+        self.n_binary = sum(map(len, implied)) // 2
         self.cla_act = [0.0] * len(kept)
+        # Occurrence counts in kept clauses guide the first decisions, at
+        # 1e-5 each, added one at a time; the seeded jitter keeps distinct
+        # seeds on distinct (but reproducible) trajectories.
+        counts = [
+            len(implied[v]) + len(implied[-v]) + occurs[v] + occurs[-v]
+            for v in range(1, n1)
+        ]
+        sums = [0.0]
+        for _ in range(max(counts, default=0)):
+            sums.append(sums[-1] + 1e-5)
+        act = self.act = [0.0] + [sums[c] for c in counts]
         rng = Random(seed)
         for v in range(1, n1):
             act[v] += rng.random() * 1e-7
         self.heap = [(-act[v], v) for v in range(1, n1)]
         heapify(self.heap)
+
+    def _link(self, links: cnf.ValueLinks, deadline: float | None) -> bool:
+        """Take the family's clauses into the implication lists, in order,
+        without building them; False when the deadline passed first."""
+        implied = self.implied
+        rows = links.rows
+        unplaced = [[-s[i] for s in links.sel] for i in range(len(links.val))]
+        step = max(1, _DEADLINE_CHUNK // max(1, len(links.val) * len(links.sel)))
+        for lo in range(0, len(rows), step):
+            if deadline is not None and time.monotonic() > deadline:
+                return False
+            for q in range(lo, min(lo + step, len(rows))):
+                row = rows[q]
+                for not_here, val in zip(unplaced, links.val):
+                    signed = (-val[q], val[q])
+                    for x, bit in zip(not_here, row):
+                        y = signed[bit]
+                        implied[x].append(y)
+                        implied[y].append(x)
+        return True
 
     @staticmethod
     def _sanitize(clause: list[int]) -> list[int] | None:
@@ -196,10 +267,17 @@ class CdclSolver:
         self.trail.append(lit)
 
     def _propagate(self) -> int:
-        """Unit propagation; returns a conflicting clause index or -1."""
+        """Unit propagation; returns -1 or the conflict.
+
+        A conflict is a clause index, or below -1 the reason code of a
+        problem binary whose literals are ``bin_conflict``.  A false
+        literal's implications run before its watch list.
+        """
         val = self.val
         clauses = self.clauses
         watches = self.watches
+        implied = self.implied
+        base = self.bin_base
         trail = self.trail
         level = self.level
         reason = self.reason
@@ -209,6 +287,25 @@ class CdclSolver:
         while qhead < len(trail):
             false_lit = -trail[qhead]
             qhead += 1
+            imps = implied[false_lit]
+            if imps:
+                why = base - false_lit
+                for other in imps:
+                    val_other = val[other]
+                    if val_other == 1:
+                        continue
+                    if val_other == 0:
+                        self.bin_conflict = (other, false_lit)
+                        self.qhead = qhead
+                        self.stats.propagations += props
+                        return why
+                    val[other] = 1
+                    val[-other] = 0
+                    v = other if other > 0 else -other
+                    level[v] = cur_level
+                    reason[v] = why
+                    trail.append(other)
+                    props += 1
             wl = watches[false_lit]
             if not wl:
                 continue
@@ -286,6 +383,7 @@ class CdclSolver:
         in_heap = self.in_heap
         var_inc = self.var_inc
         n_problem = self.n_problem
+        base = self.bin_base
         learnt: list[int] = [0]
         touched: list[int] = []
         cur_level = len(self.trail_lim)
@@ -294,10 +392,17 @@ class CdclSolver:
         idx = len(trail) - 1
         ci = confl_ci
         while True:
-            clause = clauses[ci]
-            if ci >= n_problem:
-                self._bump_clause(ci)
-            for q in clause[1:] if p else clause:
+            if ci >= 0:
+                clause = clauses[ci]
+                if ci >= n_problem:
+                    self._bump_clause(ci)
+                if p:
+                    clause = clause[1:]
+            elif p:  # a binary reason: its one false literal
+                clause = (base - ci,)
+            else:
+                clause = self.bin_conflict
+            for q in clause:
                 v = q if q > 0 else -q
                 if not seen[v] and level[v] > 0:
                     seen[v] = 1
@@ -331,7 +436,7 @@ class CdclSolver:
             seen[q if q > 0 else -q] = 1
         kept = [learnt[0]]
         for q in learnt[1:]:  # a decision literal always stays
-            if reason[q if q > 0 else -q] < 0 or not self._redundant(q, touched):
+            if reason[q if q > 0 else -q] == -1 or not self._redundant(q, touched):
                 kept.append(q)
         learnt = kept
         for v in touched:
@@ -353,19 +458,20 @@ class CdclSolver:
         level = self.level
         reason = self.reason
         clauses = self.clauses
+        base = self.bin_base
         stack = [lit]
         marked: list[int] = []
         while stack:
             p = stack.pop()
             ci = reason[p if p > 0 else -p]
-            if ci < 0:
+            if ci == -1:
                 for v in marked:
                     seen[v] = 0
                 return False
-            for r in clauses[ci][1:]:
+            for r in clauses[ci][1:] if ci >= 0 else (base - ci,):
                 w = r if r > 0 else -r
                 if not seen[w] and level[w] > 0:
-                    if reason[w] < 0:
+                    if reason[w] == -1:
                         for v in marked:
                             seen[v] = 0
                         return False
@@ -443,7 +549,8 @@ class CdclSolver:
         for lit in self.trail:
             v = abs(lit)
             old = self.reason[v]
-            self.reason[v] = remap.get(old, -1) if old >= 0 else -1
+            if old >= 0:
+                self.reason[v] = remap.get(old, -1)
 
     def solve(self, budget: float | None = None) -> SatResult:
         start = time.monotonic()
@@ -463,21 +570,21 @@ class CdclSolver:
                 return finish(UNSAT, None)
             if val[lit] == -1:
                 self._enqueue(lit, -1)
-        if self._propagate() >= 0:
+        if self._propagate() != -1:
             return finish(UNSAT, None)
 
         restart_idx = 1
         conflicts_until_restart = _RESTART_BASE * _luby(restart_idx)
         learnt_cap = self.max_learnts
         if learnt_cap is None:
-            learnt_cap = max(4000, 2 * max(1, self.n_problem))
+            learnt_cap = max(4000, 2 * max(1, self.n_problem + self.n_binary))
         check_counter = 0
         stats = self.stats
         saved = self.saved
 
         while True:
             confl = self._propagate()
-            if confl >= 0:
+            if confl != -1:
                 stats.conflicts += 1
                 conflicts_until_restart -= 1
                 if not self.trail_lim:
@@ -528,9 +635,7 @@ def sat_solve(
     if formula.soft:
         warnings.warn("sat_solve ignores soft clauses", stacklevel=2)
     deadline = None if budget is None else time.monotonic() + budget
-    solver = CdclSolver(
-        formula.hard.as_list(), formula.var_count, seed=seed, deadline=deadline
-    )
+    solver = CdclSolver(formula.hard, formula.var_count, seed=seed, deadline=deadline)
     result = solver.solve(None if deadline is None else deadline - time.monotonic())
     if result.status == SAT:
         assert result.model is not None

@@ -98,8 +98,9 @@ def maxsat_solve(
         cost = None if best_model is None else best_cost
         return MaxSatResult(status, best_model, cost, proved, stats, iterations)
 
-    # the solver copies every clause it keeps, so the formulas below share
-    # clause lists with ``formula`` instead of copying them
+    # the solver copies every long clause it keeps and keeps a binary as
+    # an implication only, so the formulas below share clause lists and
+    # the feature-value family with ``formula`` instead of copying them
     orig_vars = formula.var_count
     relaxed = cnf.Formula(orig_vars)
     relaxed.hard.extend(formula.hard)

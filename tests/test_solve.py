@@ -23,7 +23,8 @@ from bddlearn.solve import (
     maxsat_solve,
     sat_solve,
 )
-from oracles import enumerate_sat, random_dataset, random_formula
+from bddlearn.search import LearnConfig, learn, min_depth
+from oracles import best_split_error, enumerate_sat, random_dataset, random_formula
 
 
 def _formula(clauses, n):
@@ -161,6 +162,145 @@ def _assert_one_current_heap_entry(solver: CdclSolver) -> None:
         assert solver.in_heap[v] == count
         if solver.val[v] < 0:
             assert count == 1
+
+
+def _run(clauses, var_count, **kwargs) -> tuple:
+    """Status, model and the five counters of one solver's search."""
+    res = CdclSolver(clauses, var_count, **kwargs).solve(60)
+    st = res.stats
+    counters = (st.decisions, st.conflicts, st.propagations, st.restarts, st.learned_deleted)
+    return res.status, res.model, counters
+
+
+def _has_links(formula: cnf.Formula) -> bool:
+    return any(isinstance(part, cnf.ValueLinks) for part in formula.hard.parts)
+
+
+def _expanded(hard: cnf.Clauses) -> list[list[int]]:
+    """The clauses of ``hard`` in order, leaving its families unexpanded."""
+    return [c for part in hard.parts for c in (part if type(part) is list else part.clauses())]
+
+
+def test_the_link_family_solves_as_its_expanded_clauses():
+    # the solver reads the family into its implication lists unbuilt; the
+    # search must not differ by a single step from one over its clauses
+    rng = random.Random(29)
+    statuses = []
+    for k, m, depth in ((4, 12, 2), (5, 16, 3), (6, 20, 3), (6, 24, 4)):
+        ds = random_dataset(rng, k=k, m=m, consistent=True)
+        if depth == 3:  # a rule on two features: a perfect classifier exists
+            ds = dataset_from_bits(ds.features, [r[1] ^ r[k - 1] for r in ds.features])
+        formula, ctx = encode_bdd2(ds, depth)
+        formula.add_hard_clauses(ordered_tail(ctx))
+        assert _has_links(formula)
+        family = _run(formula.hard, formula.var_count, seed=k)
+        assert family == _run(_expanded(formula.hard), formula.var_count, seed=k)
+        statuses.append(family[0])
+
+        ds = random_dataset(rng, k=k, m=m)
+        opt = best_split_error(ds, depth)
+        for bound, max_learnts in ((opt, None), (opt - 1, None), (opt - 1, 20)):
+            formula, ctx = encode_maxsat(ds, depth)
+            formula.add_hard_clauses(ordered_tail(ctx))
+            cnf.at_most_k(formula, [-c[0] for c, _ in formula.soft], bound)
+            family = _run(formula.hard, formula.var_count, max_learnts=max_learnts)
+            assert _has_links(formula)  # the solver built none of its clauses
+            flat = _expanded(formula.hard)
+            assert family == _run(flat, formula.var_count, max_learnts=max_learnts)
+            assert family[0] == (SAT if bound == opt else UNSAT)
+    assert SAT in statuses and UNSAT in statuses
+
+
+def _random_links(rng: random.Random, n: int, distinct: bool) -> cnf.ValueLinks:
+    """A small family over the variables 1..n.  Unless ``distinct``, its
+    tables may repeat a variable, so a clause may be a unit or a tautology."""
+    k, h, m = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 4)
+    while distinct and k * h + h * m > n:
+        k, h, m = max(1, k - 1), max(1, h - 1), max(1, m - 1)
+    if distinct:
+        ids = rng.sample(range(1, n + 1), k * h + h * m)
+    else:
+        ids = [rng.randint(1, n) for _ in range(k * h + h * m)]
+    sel = [ids[r * h : (r + 1) * h] for r in range(k)]
+    val = [ids[k * h + i * m : k * h + (i + 1) * m] for i in range(h)]
+    rows = [tuple(rng.randint(0, 1) for _ in range(k)) for _ in range(m)]
+    return cnf.ValueLinks(sel, val, rows)
+
+
+def test_random_formulas_with_a_family_solve_as_their_expanded_clauses():
+    rng = random.Random(31)
+    for trial in range(150):
+        clauses, n = random_formula(rng, max_vars=14, max_clauses=50)
+        x, y = rng.sample(range(1, n + 1), 2)
+        special = [[x, x], [y, -y]]  # a unit and a tautology
+        refuted = trial % 3 == 0
+        if refuted:  # x and y hold at level 0, where this binary fails
+            special += [[y], [-x, -y]]
+        head, tail = clauses[: len(clauses) // 2], clauses[len(clauses) // 2 :]
+        links = _random_links(rng, n, distinct=trial % 2 == 0)
+        hard = cnf.Clauses()
+        hard.extend(head + special)
+        hard.add_family(links)
+        hard.extend(tail)
+        flat = head + special + links.clauses() + tail
+        result = _run(hard, n, seed=trial)
+        assert result == _run(flat, n, seed=trial)
+        status, model, counters = result
+        if refuted:
+            assert status == UNSAT and counters[:2] == (0, 0)  # no search
+        elif enumerate_sat(flat, n) is None:
+            assert status == UNSAT
+        else:
+            assert status == SAT
+            assert all(cnf.clause_satisfied(c, model) for c in flat)
+
+
+def test_a_problem_binary_is_kept_as_an_implication_only():
+    formula, ctx = encode_maxsat(random_dataset(random.Random(3), k=5, m=16), 3)
+    formula.add_hard_clauses(ordered_tail(ctx))
+    solver = CdclSolver(formula.hard, formula.var_count)
+    binaries = [c for c in _expanded(formula.hard) if len(c) == 2]
+    assert binaries and solver.n_binary == len(binaries)
+    assert solver.n_problem == len(solver.clauses)
+    assert all(len(c) > 2 for c in solver.clauses)  # no list for a binary
+    assert sum(map(len, solver.implied)) == 2 * len(binaries)
+    for x, y in binaries:
+        assert y in solver.implied[x] and x in solver.implied[y]
+
+    f = _pigeonhole(6)  # learned binaries stay on the watch path
+    solver = CdclSolver(f.hard, f.var_count, seed=1, max_learnts=20)
+    implied = [list(lits) for lits in solver.implied]
+    assert solver.solve(60).status == UNSAT
+    assert any(len(c) == 2 for c in solver.clauses[solver.n_problem :])
+    assert solver.implied == implied
+
+
+def test_a_certificate_never_builds_the_link_family(monkeypatch):
+    # the proof formulas carry the family by reference into the solver;
+    # only a model check would expand it
+    def unbuilt(self):
+        raise AssertionError("the feature-value links were expanded")
+
+    monkeypatch.setattr(cnf.ValueLinks, "clauses", unbuilt)
+    built = []
+    solver_cls = cdcl.CdclSolver
+
+    def counting_solver(*args, **kwargs):
+        built.append(1)
+        return solver_cls(*args, **kwargs)
+
+    monkeypatch.setattr(cdcl, "CdclSolver", counting_solver)
+    ds = random_dataset(random.Random(7), k=6, m=24)
+    model = learn(ds, LearnConfig(depth=3, mode="maxsat", budget=60))
+    assert model.optimal and built
+    assert model.solver_stats["cost"] == best_split_error(ds, 3)
+
+    built.clear()
+    rows = [((a >> 2) & 1, (a >> 1) & 1, a & 1) for a in range(8)]
+    parity = dataset_from_bits(rows, [sum(r) % 2 for r in rows])
+    result = min_depth(parity, 2, budget=60)
+    assert (result.depth, result.unsat_depth) == (3, 2)
+    assert built  # the depth-2 probe's UNSAT certificate
 
 
 def test_heap_holds_one_current_entry_per_free_variable():
