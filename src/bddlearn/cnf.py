@@ -263,10 +263,12 @@ def at_most_k(formula: Formula, lits: Iterable[int], k: int) -> None:
     ``n`` of them.  Over the outputs ``a``, ``b`` of its two children, a
     node gets only the upward clauses ``-a_i | -b_j | o_(i+j)`` for
     ``1 <= i + j <= min(m, k + 1)``, where ``a_0`` and ``b_0`` stand for
-    true and are left out.  The root unit ``-o_(k+1)`` ends it.  At
-    ``n = 500``, ``k = 198`` that is 4,085 variables and 83,686 clauses,
-    against a sequential counter's ``n * k`` registers and about ``2nk``
-    clauses.
+    true and are left out.  Only the root's ``o_(k+1)`` would be read, by
+    the unit ``-o_(k+1)``, so the root keeps no outputs: its children get
+    the binary clauses ``-a_i | -b_j`` for ``i + j = k + 1``, the resolvents
+    of that unit, which propagate as it did.  At ``n = 500``, ``k = 198``
+    that is 3,886 variables and 63,786 clauses, against a sequential
+    counter's ``n * k`` registers and about ``2nk`` clauses.
     """
     lits = list(lits)
     if not lits:
@@ -290,22 +292,23 @@ def at_most_k(formula: Formula, lits: Iterable[int], k: int) -> None:
 
     clauses: list[list[int]] = []
 
-    def outputs(lo: int, hi: int) -> list[int]:
-        # out[j - 1] is forced true once j of lits[lo:hi] are true
+    def negated(lo: int, hi: int) -> list[list[int]]:
+        # entry j is [-o_j], o_j forced true once j of lits[lo:hi] are
+        # true; "at least 0" always holds, so entry 0 holds no literal
         if hi - lo == 1:
-            return [lits[lo]]
+            return [[], [-lits[lo]]]
         mid = (lo + hi) // 2
-        a, b = outputs(lo, mid), outputs(mid, hi)
+        not_a, not_b = negated(lo, mid), negated(mid, hi)
         out = [formula.fresh_var() for _ in range(min(hi - lo, k + 1))]
-        # "at least 0" always holds, so index 0 contributes no literal
-        not_a = [[]] + [[-x] for x in a]
-        not_b = [[]] + [[-x] for x in b]
-        for i in range(len(a) + 1):
-            for j in range(max(1 - i, 0), min(len(b), len(out) - i) + 1):
+        for i in range(len(not_a)):
+            for j in range(max(1 - i, 0), min(len(not_b) - 1, len(out) - i) + 1):
                 clauses.append(not_a[i] + not_b[j] + [out[i + j - 1]])
-        return out
+        return [[]] + [[-x] for x in out]
 
-    clauses.append([-outputs(0, n)[k]])
+    # the root: its unit -o_(k+1) resolved with the clauses that set it
+    not_a, not_b = negated(0, n // 2), negated(n // 2, n)
+    for i in range(max(0, k + 2 - len(not_b)), min(len(not_a) - 1, k + 1) + 1):
+        clauses.append(not_a[i] + not_b[k + 1 - i])
     formula.add_hard_clauses(clauses)
 
 

@@ -26,6 +26,11 @@ bump of an assigned variable makes its entry stale and clears the flag
 instead of pushing; the variable is pushed again only when it is freed
 with the flag clear.  Stale entries are dropped when popped, so the heap
 still yields the free variable of highest activity, lowest index on ties.
+Once a backjump leaves more than ``2n + 64`` entries over ``n``
+variables, the heap is rebuilt from the free variables, as after an
+activity rescale; keys are unique and a stale one never wins, so no
+decision changes, and the heap's size follows the formula rather than
+the length of the search.
 ``_propagate`` walks a watch list in place and rebuilds it only when a
 clause moved its watch away, keeping the other watchers in their order.
 
@@ -139,6 +144,7 @@ class CdclSolver:
         self.heap: list[tuple[float, int]] = []
         # 1 while the heap holds the entry (-act[v], v); at most one does
         self.in_heap = bytearray(b"\x01") * n1
+        self.heap_cap = 2 * var_count + 64  # stale entries past it: rebuild
         self.seen = bytearray(n1)
         self.stats = SatStats()
         self.ok = True
@@ -352,16 +358,21 @@ class CdclSolver:
         self.stats.propagations += props
         return -1
 
+    def _rebuild_heap(self) -> None:
+        """One current entry per free variable and no stale ones."""
+        act = self.act
+        val = self.val
+        self.heap = [(-act[u], u) for u in range(1, self.n + 1) if val[u] < 0]
+        heapify(self.heap)
+        self.in_heap = bytearray(val[u] < 0 for u in range(self.n + 1))
+
     def _rescale_vars(self) -> None:
         inv = 1.0 / _ACT_RESCALE
         act = self.act
         for u in range(1, self.n + 1):
             act[u] *= inv
         self.var_inc *= inv
-        val = self.val
-        self.heap = [(-act[u], u) for u in range(1, self.n + 1) if val[u] < 0]
-        heapify(self.heap)
-        self.in_heap = bytearray(val[u] < 0 for u in range(self.n + 1))
+        self._rebuild_heap()
 
     def _bump_clause(self, ci: int) -> None:
         """Bump learned clause ``ci`` (problem clauses carry no activity)."""
@@ -503,6 +514,8 @@ class CdclSolver:
         del trail[limit:]
         del self.trail_lim[lvl:]
         self.qhead = limit
+        if len(heap) > self.heap_cap:
+            self._rebuild_heap()
 
     def _pick_branch(self) -> int | None:
         heap = self.heap

@@ -78,8 +78,8 @@ def test_at_most_two_of_four_exact_projection():
     f = cnf.Formula(4)
     cnf.at_most_k(f, [1, 2, 3, 4], 2)
     # a totalizer: two leaf pairs with two outputs each, and a root that
-    # keeps k + 1 = 3 outputs
-    assert f.var_count == 4 + 2 * 2 + 3
+    # keeps no outputs, only the clauses that forbid three true
+    assert f.var_count == 4 + 2 * 2
     models = _all_models(f, [1, 2, 3, 4])
     expected = {
         bits
@@ -130,7 +130,7 @@ def test_at_most_k_memory_ceiling_at_a_large_bound():
     f = cnf.Formula(500)
     lits = [v if v % 2 else -v for v in range(1, 501)]
     cnf.at_most_k(f, lits, 198)
-    assert (f.var_count - 500, len(f.hard)) == (4085, 83686)
+    assert (f.var_count - 500, len(f.hard)) == (3886, 63786)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

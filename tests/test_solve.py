@@ -125,7 +125,7 @@ def test_search_trajectory_is_pinned():
     assert (res.cost, res.iterations) == (5, 11)
     # unlike the pigeonhole pins, these counts also follow the encoding of
     # the cost bound (cnf.at_most_k), not only the solver
-    assert (st.conflicts, st.decisions, st.propagations) == (1979, 2901, 137706)
+    assert (st.conflicts, st.decisions, st.propagations) == (1979, 2898, 135040)
 
 
 def _wide_probe(seed: int):
@@ -321,6 +321,24 @@ def test_heap_holds_one_current_entry_per_free_variable():
     solver._rescale_vars = counting_rescale
     assert solver.solve(60).status == UNSAT
     assert rescales
+    _assert_one_current_heap_entry(solver)
+
+
+def test_heap_size_follows_the_variable_count_not_the_search():
+    # 5,287 conflicts over 56 variables: without compaction the stale
+    # entries pile up until the activity rescale
+    f = _pigeonhole(7)
+    solver = CdclSolver(f.hard, f.var_count, seed=0)
+    cancel, sizes = solver._cancel_until, []
+
+    def recording_cancel(lvl):
+        cancel(lvl)
+        sizes.append(len(solver.heap))
+
+    solver._cancel_until = recording_cancel
+    assert solver.solve(60).status == UNSAT
+    assert solver.stats.conflicts == 5287
+    assert max(sizes) <= 2 * solver.n + 64
     _assert_one_current_heap_entry(solver)
 
 
