@@ -7,9 +7,11 @@ uses, and at a larger bound, the MaxSAT cost bound, with a totalizer.
 Literals are signed DIMACS-style integers throughout the package: ``+v``
 is the Boolean variable ``v`` and ``-v`` its negation, with ``v >= 1``.
 A clause is a list of such literals.  A formula's hard clauses are a
-:class:`Clauses` sequence, which may also hold a clause family,
-:class:`ValueLinks`, that is counted and written without building its
-clauses.
+:class:`Clauses` sequence, which may also hold two kinds of clause
+family: the feature-value links, :class:`ValueLinks`, and the totalizer
+of a cost bound, :class:`Totalizer`.  A family is counted and written
+without its clauses being kept, and the solver expands it into its own
+store.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import Callable, Iterable, Mapping, TextIO
+from typing import Callable, Generator, Iterable, Iterator, Mapping, TextIO
 
 
 class FormulaError(ValueError):
@@ -58,6 +60,9 @@ class ValueLinks:
     def __len__(self) -> int:
         return len(self.rows) * len(self.val) * len(self.sel)
 
+    def literal_count(self) -> int:
+        return 2 * len(self)
+
     def clauses(self) -> list[list[int]]:
         unplaced = [[-s[i] for s in self.sel] for i in range(len(self.val))]
         links: list[list[int]] = []
@@ -92,14 +97,121 @@ class ValueLinks:
             out.write(row_text * len(rows) % tuple(lits))
 
 
+def _pairs(a: int, b: int, s: int) -> int:
+    """The pairs ``(i, j)`` with ``0 <= i <= a``, ``0 <= j <= b``, ``i + j <= s``."""
+
+    def tri(x: int) -> int:  # the pairs with i + j <= x, unbounded
+        return (x + 1) * (x + 2) // 2 if x >= 0 else 0
+
+    return tri(s) - tri(s - a - 1) - tri(s - b - 1) + tri(s - a - b - 2)
+
+
+def _subtree(size: int, cap: int) -> tuple[int, int, int]:
+    """Variables, clauses and outputs of a totalizer node over ``size``
+    literals; a leaf is its literal, its one output."""
+    if size == 1:
+        return 0, 0, 1
+    va, ca, a = _subtree(size // 2, cap)
+    vb, cb, b = _subtree(size - size // 2, cap)
+    o = min(size, cap)
+    # the pairs 1 <= i + j <= o; (0, 0) holds no clause
+    return va + vb + o, ca + cb + _pairs(a, b, o) - 1, o
+
+
+class Totalizer:
+    """At most ``k`` of ``lits`` true, ``k >= 2``: a totalizer, one clause family.
+
+    A totalizer (Bailleux & Boufkhad, CP 2003) is a balanced binary tree
+    whose leaves are the literals; a node over ``lits[lo:hi]`` splits at
+    ``(lo + hi) // 2``.  A node over ``m`` literals has ``min(m, k + 1)``
+    outputs, ``o_j`` reading "at least ``j`` of my literals are true"; a
+    leaf's one output is its literal.  Over the outputs ``a``, ``b`` of its
+    two children, a node gets only the upward clauses
+    ``-a_i | -b_j | o_(i+j)`` for ``1 <= i + j <= min(m, k + 1)``, where
+    ``a_0`` and ``b_0`` stand for true and are left out.  Only the root's
+    ``o_(k+1)`` would be read, by the unit ``-o_(k+1)``, so the root keeps
+    no outputs: its children get the binary clauses ``-a_i | -b_j`` for
+    ``i + j = k + 1``, the resolvents of that unit, which propagate as it
+    did.  At ``n = 500``, ``k = 198`` that is 3,886 variables and 63,786
+    clauses, against a sequential counter's ``n * k`` registers and about
+    ``2nk`` clauses.
+
+    The outputs are the ``var_count`` variables from ``first`` on,
+    numbered in post order: both subtrees' outputs, then the node's own.
+    The clauses run in the same post order, each node's by ``i``, then
+    ``j``.  The family holds its literals only: ``len`` and ``var_count``
+    come from the node sizes, and iterating builds each clause as a fresh
+    list, one node row at a time.
+    """
+
+    __slots__ = ("lits", "k", "first", "var_count", "_len")
+
+    def __init__(self, lits: Sequence[int], k: int, first: int):
+        self.lits, self.k, self.first = lits, k, first
+        n = len(lits)
+        va, ca, a = _subtree(n // 2, k + 1)
+        vb, cb, b = _subtree(n - n // 2, k + 1)
+        self.var_count = va + vb
+        # the root's pairs i + j = k + 1, with 0 <= i <= a and 0 <= j <= b
+        self._len = ca + cb + min(a, k + 1) - max(0, k + 1 - b) + 1
+
+    def __len__(self) -> int:
+        return self._len
+
+    def literal_count(self) -> int:
+        return sum(map(len, self))
+
+    def _rows(self) -> Iterator[list[list[int]]]:
+        lits, cap = self.lits, self.k + 1
+        top = self.first - 1
+
+        # each int is made once per node and shared by every clause that
+        # holds it; an int made per clause would cost the solver's store
+        # about 32 bytes a literal
+        def node(lo: int, hi: int) -> Generator[list[list[int]], None, list[int]]:
+            # yields the subtree's clauses, one row per i; returns its
+            # outputs, negated
+            nonlocal top
+            if hi - lo == 1:
+                return [-lits[lo]]
+            mid = (lo + hi) // 2
+            not_a = yield from node(lo, mid)
+            not_b = yield from node(mid, hi)
+            out = list(range(top + 1, top + 1 + min(hi - lo, cap)))
+            top += len(out)
+            yield [[y, o] for y, o in zip(not_b, out)]
+            for i, x in enumerate(not_a):
+                yield [[x, out[i]], *([x, y, o] for y, o in zip(not_b, out[i + 1 :]))]
+            return [-o for o in out]
+
+        n = len(lits)
+        not_a = yield from node(0, n // 2)
+        not_b = yield from node(n // 2, n)
+        lo, hi = max(0, cap - len(not_b)), min(len(not_a), cap)
+        yield [
+            ([not_a[i - 1]] if i else []) + ([not_b[cap - i - 1]] if i < cap else [])
+            for i in range(lo, hi + 1)
+        ]
+
+    def __iter__(self) -> Iterator[list[int]]:
+        return itertools.chain.from_iterable(self._rows())
+
+    def clauses(self) -> list[list[int]]:
+        return list(self)
+
+    def write(self, out: TextIO, prefix: str = "") -> None:
+        _write_clauses(out, self, prefix)
+
+
 class Clauses(Sequence):
     """The hard clauses of a formula: clause lists and families, in order.
 
-    ``parts`` holds lists of clauses and :class:`ValueLinks` families.
-    ``len``, :func:`literal_count`, the DIMACS emitters and
-    :class:`~bddlearn.solve.cdcl.CdclSolver` read a family without
-    building its clauses, and :meth:`extend` with another ``Clauses``
-    shares its families by reference.  Every other read (iteration,
+    ``parts`` holds lists of clauses and clause families: any part that is
+    not a list is a :class:`ValueLinks` or a :class:`Totalizer`.  ``len``,
+    :func:`literal_count` and the DIMACS emitters read a family without
+    keeping its clauses, :class:`~bddlearn.solve.cdcl.CdclSolver` takes it
+    into its own store, and :meth:`extend` with another ``Clauses`` shares
+    its families by reference.  Every other read (iteration,
     indexing, slicing, ``in``, ``==``) goes through :meth:`as_list`, which
     expands the families once and keeps the result as the one part.
     """
@@ -107,7 +219,7 @@ class Clauses(Sequence):
     __slots__ = ("parts", "_len")
 
     def __init__(self):
-        self.parts: list[list[list[int]] | ValueLinks] = [[]]
+        self.parts: list[list[list[int]] | ValueLinks | Totalizer] = [[]]
         self._len = 0
 
     def __len__(self) -> int:
@@ -128,7 +240,7 @@ class Clauses(Sequence):
         tail.extend(clauses)
         self._len += len(tail) - before
 
-    def add_family(self, family: ValueLinks) -> None:
+    def add_family(self, family: ValueLinks | Totalizer) -> None:
         self.parts.append(family)
         self._len += len(family)
 
@@ -164,9 +276,10 @@ class Clauses(Sequence):
 class Formula:
     """A CNF formula split into hard clauses and weighted soft clauses.
 
-    ``hard`` is a :class:`Clauses` sequence: clause lists and, from
-    :meth:`add_value_links`, a clause family that stays unexpanded until a
-    model check or :meth:`copy` iterates the clauses.  Construction is
+    ``hard`` is a :class:`Clauses` sequence: clause lists and two kinds of
+    clause family, the links of :meth:`add_value_links` and the cost bound
+    of :func:`at_most_k`, which stay unexpanded until a model check or
+    :meth:`copy` iterates the clauses.  Construction is
     single-writer: build the formula, then treat it as immutable (``copy``
     before mutating a shared instance).
     """
@@ -254,21 +367,11 @@ def at_most_k(formula: Formula, lits: Iterable[int], k: int) -> None:
     unit propagation alone sets the others false.  Over ``n`` literals,
     ``k >= n`` appends nothing, ``k = 0`` one unit per literal, and
     ``k = 1`` a sequential-counter ladder: ``n`` registers and ``3n - 2``
-    binary clauses.
+    binary clauses.  ``k >= 2`` appends one :class:`Totalizer` family,
+    which reserves its outputs here and builds no clause.
 
-    ``k >= 2`` appends a totalizer (Bailleux & Boufkhad, CP 2003), a
-    balanced binary tree whose leaves are the literals.  A node over ``m``
-    literals has ``min(m, k + 1)`` fresh outputs, ``o_j`` reading "at least
-    ``j`` of my literals are true"; each level of the tree holds at most
-    ``n`` of them.  Over the outputs ``a``, ``b`` of its two children, a
-    node gets only the upward clauses ``-a_i | -b_j | o_(i+j)`` for
-    ``1 <= i + j <= min(m, k + 1)``, where ``a_0`` and ``b_0`` stand for
-    true and are left out.  Only the root's ``o_(k+1)`` would be read, by
-    the unit ``-o_(k+1)``, so the root keeps no outputs: its children get
-    the binary clauses ``-a_i | -b_j`` for ``i + j = k + 1``, the resolvents
-    of that unit, which propagate as it did.  At ``n = 500``, ``k = 198``
-    that is 3,886 variables and 63,786 clauses, against a sequential
-    counter's ``n * k`` registers and about ``2nk`` clauses.
+    A bad literal fails before any variable is reserved: the error names
+    the first one, negated as the clauses hold it, and nothing is appended.
     """
     lits = list(lits)
     if not lits:
@@ -289,27 +392,10 @@ def at_most_k(formula: Formula, lits: Iterable[int], k: int) -> None:
             ladder += [-lits[i], reg[i]], [-reg[i - 1], reg[i]], [-lits[i], -reg[i - 1]]
         formula.add_hard_clauses(ladder)
         return
-
-    clauses: list[list[int]] = []
-
-    def negated(lo: int, hi: int) -> list[list[int]]:
-        # entry j is [-o_j], o_j forced true once j of lits[lo:hi] are
-        # true; "at least 0" always holds, so entry 0 holds no literal
-        if hi - lo == 1:
-            return [[], [-lits[lo]]]
-        mid = (lo + hi) // 2
-        not_a, not_b = negated(lo, mid), negated(mid, hi)
-        out = [formula.fresh_var() for _ in range(min(hi - lo, k + 1))]
-        for i in range(len(not_a)):
-            for j in range(max(1 - i, 0), min(len(not_b) - 1, len(out) - i) + 1):
-                clauses.append(not_a[i] + not_b[j] + [out[i + j - 1]])
-        return [[]] + [[-x] for x in out]
-
-    # the root: its unit -o_(k+1) resolved with the clauses that set it
-    not_a, not_b = negated(0, n // 2), negated(n // 2, n)
-    for i in range(max(0, k + 2 - len(not_b)), min(len(not_a) - 1, k + 1) + 1):
-        clauses.append(not_a[i] + not_b[k + 1 - i])
-    formula.add_hard_clauses(clauses)
+    formula._checked([-x for x in lits])  # every clause holds inputs negated
+    family = Totalizer(lits, k, formula.var_count + 1)
+    formula.var_count += family.var_count
+    formula.hard.add_family(family)
 
 
 def exactly_one(formula: Formula, lits: Iterable[int]) -> None:
@@ -324,10 +410,10 @@ def exactly_one(formula: Formula, lits: Iterable[int]) -> None:
 def literal_count(formula: Formula) -> int:
     """Total number of literals over all hard and soft clauses.
 
-    A :class:`ValueLinks` family counts two per clause, unexpanded.
+    A clause family gives its own count, unexpanded.
     """
     hard = sum(
-        2 * len(part) if isinstance(part, ValueLinks) else sum(map(len, part))
+        sum(map(len, part)) if type(part) is list else part.literal_count()
         for part in formula.hard.parts
     )
     return hard + sum(len(c) for c, _ in formula.soft)
@@ -419,15 +505,18 @@ def _write_clauses(out: TextIO, clauses: Iterable[Sequence[int]], prefix: str = 
 
     :class:`Clauses` are written part by part; a family renders itself.
     """
+    if isinstance(clauses, Clauses):
+        for part in clauses.parts:
+            if type(part) is list:
+                _write_clauses(out, part, prefix)
+            else:
+                part.write(out, prefix)
+        return
     line = _LineTemplates(prefix).__getitem__
-    for part in clauses.parts if isinstance(clauses, Clauses) else (clauses,):
-        if isinstance(part, ValueLinks):
-            part.write(out, prefix)
-            continue
-        part = iter(part)
-        while chunk := list(itertools.islice(part, _EMIT_CHUNK)):
-            text = "".join(map(line, map(len, chunk)))
-            out.write(text % tuple(itertools.chain.from_iterable(chunk)))
+    clauses = iter(clauses)
+    while chunk := list(itertools.islice(clauses, _EMIT_CHUNK)):
+        text = "".join(map(line, map(len, chunk)))
+        out.write(text % tuple(itertools.chain.from_iterable(chunk)))
 
 
 def emit_dimacs_cnf(formula: Formula, out: TextIO) -> None:

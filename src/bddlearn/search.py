@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -769,6 +768,8 @@ def cross_validate(
         for fold, split in enumerate(kfold(dataset, k, split_seed)):
             tasks.append((dataset, cfg, split_seed, fold, split.train, split.test))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             runs = list(pool.map(_cv_one, tasks))
     else:

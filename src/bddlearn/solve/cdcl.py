@@ -34,9 +34,13 @@ the length of the search.
 ``_propagate`` walks a watch list in place and rebuilds it only when a
 clause moved its watch away, keeping the other watchers in their order.
 
+The two clause families of :mod:`bddlearn.cnf` are read in place: the
+feature-value links go into the implication lists without their clauses
+being built, and a totalizer's clauses are built chunk by chunk as they
+are read, so a MaxSAT cost bound exists only in the solver's own store.
 Construction looks at the caller's ``deadline`` every few thousand
-clauses; a solver whose construction ran past it answers ``TIMEOUT`` from
-:meth:`CdclSolver.solve` without searching.
+clauses, a family's included; a solver whose construction ran past it
+answers ``TIMEOUT`` from :meth:`CdclSolver.solve` without searching.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, islice
 from operator import neg
 from random import Random
 
@@ -108,7 +112,9 @@ class CdclSolver:
     the implication lists; every longer clause kept is a fresh list, so
     the caller's clauses are never mutated and may be shared between
     solvers.  A :class:`cnf.ValueLinks` family goes into the implication
-    lists without its clauses being built.  ``deadline``, a
+    lists without its clauses being built; a :class:`cnf.Totalizer` is
+    streamed, 4,096 clauses at a time, into the same store as the lists.
+    ``deadline``, a
     :func:`time.monotonic` value, bounds construction as ``solve``'s
     budget bounds the search.
     """
@@ -160,6 +166,7 @@ class CdclSolver:
         occurs = [0] * (2 * var_count + 1)  # by literal, over long clauses
         parts = clauses.parts if isinstance(clauses, cnf.Clauses) else (clauses,)
         for part in parts:
+            built = type(part) is not list  # a family's clauses are built for this read
             if isinstance(part, cnf.ValueLinks):
                 if _all_binary(part):
                     if not self._link(part, deadline):
@@ -167,11 +174,12 @@ class CdclSolver:
                         return
                     continue
                 part = part.clauses()
-            for lo in range(0, len(part), _DEADLINE_CHUNK):
+            unread = iter(part)  # a totalizer builds its clauses as they are read
+            while chunk := list(islice(unread, _DEADLINE_CHUNK)):
                 if deadline is not None and time.monotonic() > deadline:
                     self.expired = True
                     return
-                for clause in part[lo : lo + _DEADLINE_CHUNK]:
+                for clause in chunk:
                     if len(clause) == 2:  # most clauses: no set needed
                         x, y = clause
                         if x == -y:
@@ -182,7 +190,7 @@ class CdclSolver:
                         if len(present) == len(clause) and present.isdisjoint(
                             map(neg, clause)
                         ):
-                            lits = list(clause)
+                            lits = clause if built else list(clause)
                         else:
                             lits = self._sanitize(clause)
                             if lits is None:  # tautology

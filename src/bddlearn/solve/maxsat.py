@@ -18,10 +18,12 @@ is tighter than the number of true relaxation literals whenever the
 solver set some of them gratuitously.  The lex-leader clauses of a
 symmetry, such as :func:`bddlearn.encode.ordered_tail`, belong in the
 hard clauses; they must keep some model of each cost, and the UNSAT
-proof at the end then refutes one representative per symmetry class.  A
-call whose cardinality network is finished only after the deadline gets
-no solver, and a solver whose construction runs past the deadline does
-not search.
+proof at the end then refutes one representative per symmetry class.
+The cardinality bound is a :class:`bddlearn.cnf.Totalizer` family, which
+costs O(n) to append; the solver builds its clauses while it reads them,
+under its construction deadline.  A call whose bound is appended only
+after the deadline gets no solver, and a solver whose construction runs
+past the deadline does not search.
 """
 
 from __future__ import annotations
@@ -127,7 +129,9 @@ def maxsat_solve(
         working.hard.extend(relaxed.hard)
         if best_cost <= len(relax):  # a bound of len(relax) excludes nothing
             cnf.at_most_k(working, relax, best_cost - 1)
-            if expired():  # the bound's tree takes tens of ms at a large bound
+            # appending the bound is O(n); the solver's construction builds
+            # its clauses, under the same deadline
+            if expired():
                 return result(False)
         # a model comes back checked against the bound and every hard clause
         res = sat_solve(working, remaining(), seed)

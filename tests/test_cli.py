@@ -571,3 +571,24 @@ def test_solver_env_default(tmp_path, demo8_csv, dimacs_shim, monkeypatch):
     )
     assert code == 0
     assert json.loads(out.read_text())["metrics"]["train_accuracy"] == 1.0
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # only `cv --jobs N` with N > 1 needs worker processes; every other
+    # run should not pay for loading multiprocessing
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import bddlearn
+
+    code = (
+        "import sys, bddlearn, bddlearn.cli\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bddlearn.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,64 @@ def test_at_most_k_with_a_bad_literal_adds_nothing(k):
     with pytest.raises(cnf.FormulaError, match="literal -99 outside variable range"):
         cnf.at_most_k(f, [1, 2, 99], k)
     assert f.hard == [[1, 2]]
+
+
+# sha256 of the DIMACS text of ``at_most_k`` formulas, taken while the
+# totalizer was still built as clause lists; the solver's trajectory
+# follows this clause order, so the family must keep it byte for byte
+_BOUND_PINS = {
+    (4, 2): "650e8d8cd1309e3d9d283ef23241cbbbc332d168cd00f58492886ada7bbbc396",
+    (9, 4): "9827ecda291b711cc0f0c31f38f4ed5c0e5dc4bf14e1f531faa0161a12102349",
+    (500, 198): "fcf60ebfad45266f9dd2e4959ffb743edcca7d84504e27cb091f79c3be962182",
+}
+# the same over every bound 2 <= k < n for n in 3..23, literals 2..n+1
+_BOUND_GRID_PIN = "145c8b24f46fdbcc3aa4f11b37bf67ebd2acff60e113f386814c5e1b6557bd3a"
+
+
+def _bound_lits(n):
+    return {4: [1, 2, 3, 4], 9: [v if v % 3 else -v for v in range(1, 10)]}.get(
+        n, [v if v % 2 else -v for v in range(1, n + 1)]
+    )
+
+
+@pytest.mark.parametrize("n, k", list(_BOUND_PINS))
+def test_the_totalizer_text_is_pinned(n, k):
+    f = cnf.Formula(n)
+    cnf.at_most_k(f, _bound_lits(n), k)
+    assert [type(part) for part in f.hard.parts] == [list, cnf.Totalizer]
+    text = cnf.dimacs_cnf(f)
+    assert hashlib.sha256(text.encode()).hexdigest() == _BOUND_PINS[n, k]
+
+
+def test_the_totalizer_counts_itself_as_its_clauses():
+    grid = hashlib.sha256()
+    for n in range(3, 24):
+        for k in range(2, n):
+            f = cnf.Formula(n + 1)
+            cnf.at_most_k(f, [v if v % 4 else -v for v in range(2, n + 2)], k)
+            family = f.hard.parts[-1]
+            clauses = family.clauses()
+            assert len(family) == len(f.hard) == len(clauses), (n, k)
+            assert family.literal_count() == cnf.literal_count(f) == sum(map(len, clauses))
+            assert f.var_count == n + 1 + family.var_count
+            assert max(abs(x) for c in clauses for x in c) == f.var_count
+            grid.update(cnf.dimacs_cnf(f).encode())
+    assert grid.hexdigest() == _BOUND_GRID_PIN
+
+
+def test_a_large_bound_builds_no_clause():
+    # the (500, 40, 3) MaxSAT bound: the formula holds the family, whose
+    # clauses only a reader builds; as lists they took 5.3 MB
+    f = cnf.Formula(500)
+    lits = [v if v % 2 else -v for v in range(1, 501)]
+    tracemalloc.start()
+    try:
+        cnf.at_most_k(f, lits, 198)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not [part for part in f.hard.parts if type(part) is list and part]
+    assert peak < 1 << 20, peak
 
 
 def test_exactly_one_single_literal():

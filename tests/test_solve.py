@@ -2,6 +2,7 @@ import random
 import sys
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -301,6 +302,69 @@ def test_a_certificate_never_builds_the_link_family(monkeypatch):
     result = min_depth(parity, 2, budget=60)
     assert (result.depth, result.unsat_depth) == (3, 2)
     assert built  # the depth-2 probe's UNSAT certificate
+
+
+def _unbuilt_totalizer(self):
+    raise AssertionError("the totalizer was built as a list")
+
+
+def test_the_solver_reads_a_totalizer_as_its_clauses(monkeypatch):
+    # the solver streams the bound's clauses from the family; its search
+    # must not differ by a single step from one over the built lists
+    rng = random.Random(37)
+    for trial in range(60):
+        clauses, n = random_formula(rng, max_vars=10, max_clauses=30)
+        # repeated and complementary inputs give tautologies and duplicates
+        lits = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(3, 9))]
+        f = cnf.Formula(n)
+        f.add_hard_clauses(clauses)
+        k = rng.randint(2, len(lits) - 1)
+        cnf.at_most_k(f, lits, k)
+        flat = _expanded(f.hard)
+        with monkeypatch.context() as m:
+            m.setattr(cnf.Totalizer, "clauses", _unbuilt_totalizer)
+            result = _run(f.hard, f.var_count, seed=trial)
+        assert result == _run(flat, f.var_count, seed=trial)
+        # satisfiable iff some assignment of 1..n meets the clauses and the bound
+        bounded = any(
+            all(cnf.clause_satisfied(c, a) for c in clauses)
+            and sum(cnf.lit_true(x, a) for x in lits) <= k
+            for a in ({v: bits >> (v - 1) & 1 for v in range(1, n + 1)} for bits in range(1 << n))
+        )
+        assert result[0] == (SAT if bounded else UNSAT)
+
+
+def test_the_solver_looks_at_the_deadline_while_it_reads_a_totalizer(monkeypatch):
+    f = cnf.Formula(500)
+    cnf.at_most_k(f, [v if v % 2 else -v for v in range(1, 501)], 198)
+    ticks = []
+
+    def clock():
+        ticks.append(1)
+        return len(ticks)
+
+    monkeypatch.setattr(cdcl, "time", SimpleNamespace(monotonic=clock))
+    solver = CdclSolver(f.hard, f.var_count, deadline=3.5)
+    assert solver.expired and len(ticks) == 4  # the fourth chunk is not read
+    kept = len(solver.clauses) + sum(map(len, solver.implied)) // 2
+    assert kept == 3 * cdcl._DEADLINE_CHUNK
+
+
+def test_a_certificate_never_builds_its_bound_as_lists(monkeypatch):
+    monkeypatch.setattr(cnf.Totalizer, "clauses", _unbuilt_totalizer)
+    bounds = []
+    solver_cls = cdcl.CdclSolver
+
+    def recording_solver(clauses, *args, **kwargs):
+        bounds.extend(p for p in clauses.parts if isinstance(p, cnf.Totalizer))
+        return solver_cls(clauses, *args, **kwargs)
+
+    monkeypatch.setattr(cdcl, "CdclSolver", recording_solver)
+    ds = random_dataset(random.Random(11), k=8, m=40)
+    model = learn(ds, LearnConfig(depth=3, mode="maxsat", budget=60))
+    assert model.optimal and bounds
+    assert model.solver_stats["cost"] == best_split_error(ds, 3)
+    assert [b.k for b in bounds] == [model.solver_stats["cost"] - 1]
 
 
 def test_heap_holds_one_current_entry_per_free_variable():
