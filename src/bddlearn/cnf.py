@@ -10,8 +10,9 @@ A clause is a list of such literals.  A formula's hard clauses are a
 :class:`Clauses` sequence, which may also hold two kinds of clause
 family: the feature-value links, :class:`ValueLinks`, and the totalizer
 of a cost bound, :class:`Totalizer`.  A family is counted and written
-without its clauses being kept, and the solver expands it into its own
-store.
+without its clauses being kept.  The solver takes the links into its
+implication lists and reads the totalizer node by node, propagating its
+ternaries in place, so it builds the clauses of neither.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import Callable, Generator, Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 
 class FormulaError(ValueError):
@@ -140,8 +141,11 @@ class Totalizer:
     numbered in post order: both subtrees' outputs, then the node's own.
     The clauses run in the same post order, each node's by ``i``, then
     ``j``.  The family holds its literals only: ``len`` and ``var_count``
-    come from the node sizes, and iterating builds each clause as a fresh
-    list, one node row at a time.
+    come from the node sizes.  One walk, :meth:`nodes`, fixes the
+    numbering and the order: iterating builds each clause from it as a
+    fresh list, one node row at a time, and
+    :class:`~bddlearn.solve.cdcl.CdclSolver` reads the same walk and
+    propagates the ternaries of each node in place, without building them.
     """
 
     __slots__ = ("lits", "k", "first", "var_count", "_len")
@@ -161,37 +165,55 @@ class Totalizer:
     def literal_count(self) -> int:
         return sum(map(len, self))
 
-    def _rows(self) -> Iterator[list[list[int]]]:
-        lits, cap = self.lits, self.k + 1
-        top = self.first - 1
+    def nodes(self) -> Iterator[tuple[list[int], list[int], list[int]]]:
+        """Each node over two or more literals, in post order, the root last.
 
-        # each int is made once per node and shared by every clause that
-        # holds it; an int made per clause would cost the solver's store
-        # about 32 bytes a literal
-        def node(lo: int, hi: int) -> Generator[list[list[int]], None, list[int]]:
-            # yields the subtree's clauses, one row per i; returns its
-            # outputs, negated
-            nonlocal top
-            if hi - lo == 1:
-                return [-lits[lo]]
-            mid = (lo + hi) // 2
-            not_a = yield from node(lo, mid)
-            not_b = yield from node(mid, hi)
-            out = list(range(top + 1, top + 1 + min(hi - lo, cap)))
-            top += len(out)
-            yield [[y, o] for y, o in zip(not_b, out)]
-            for i, x in enumerate(not_a):
-                yield [[x, out[i]], *([x, y, o] for y, o in zip(not_b, out[i + 1 :]))]
-            return [-o for o in out]
-
+        A node is ``(not_a, not_b, out)``: its children's outputs negated,
+        as its clauses hold them (a leaf's is ``[-lit]``), and its own
+        outputs, numbered as it is reached; the root's ``out`` is empty.
+        Each int is made once per node and shared by every clause that
+        holds it; an int made per clause would cost a store of the clauses
+        about 32 bytes a literal.
+        """
+        lits, cap, top = self.lits, self.k + 1, self.first
         n = len(lits)
-        not_a = yield from node(0, n // 2)
-        not_b = yield from node(n // 2, n)
+        done: list[list[int]] = []  # the finished subtrees' outputs, negated
+        todo = [(0, n, False)]
+        while todo:
+            lo, hi, ready = todo.pop()
+            if hi - lo == 1:
+                done.append([-lits[lo]])
+            elif not ready:
+                mid = (lo + hi) // 2
+                todo += (lo, hi, True), (mid, hi, False), (lo, mid, False)
+            else:
+                not_b = done.pop()
+                not_a = done.pop()
+                out = list(range(top, top + min(hi - lo, cap))) if hi - lo < n else []
+                top += len(out)
+                yield not_a, not_b, out
+                done.append([-o for o in out])
+
+    def root(self, not_a: list[int], not_b: list[int]) -> list[list[int]]:
+        """The root's clauses ``-a_i | -b_j`` for ``i + j = k + 1``, by ``i``."""
+        cap = self.k + 1
         lo, hi = max(0, cap - len(not_b)), min(len(not_a), cap)
-        yield [
+        return [
             ([not_a[i - 1]] if i else []) + ([not_b[cap - i - 1]] if i < cap else [])
             for i in range(lo, hi + 1)
         ]
+
+    def _rows(self) -> Iterator[list[list[int]]]:
+        """The clauses, one row per node and ``i``: a node's ``j`` binaries
+        ``-b_j | o_j``, then for each ``i`` the binary ``-a_i | o_i`` and
+        the ternaries ``-a_i | -b_j | o_(i+j)``; the root's row last."""
+        for not_a, not_b, out in self.nodes():
+            if not out:
+                yield self.root(not_a, not_b)
+                continue
+            yield [[y, o] for y, o in zip(not_b, out)]
+            for i, x in enumerate(not_a):
+                yield [[x, out[i]], *([x, y, o] for y, o in zip(not_b, out[i + 1 :]))]
 
     def __iter__(self) -> Iterator[list[int]]:
         return itertools.chain.from_iterable(self._rows())

@@ -36,8 +36,13 @@ clause moved its watch away, keeping the other watchers in their order.
 
 The two clause families of :mod:`bddlearn.cnf` are read in place: the
 feature-value links go into the implication lists without their clauses
-being built, and a totalizer's clauses are built chunk by chunk as they
-are read, so a MaxSAT cost bound exists only in the solver's own store.
+being built, and a totalizer is read node by node.  Its binaries go into
+the implication lists.  Its ternaries ``x | y | o`` over a node with an
+internal child, three distinct variables, are never built: ``tern[lit]``
+lists, per literal, the node rows whose ternaries hold it, and a false
+literal propagates them after its implications, each clause on each of
+its three literals.  A literal they imply records the tuple of its
+clause, the implied literal first, as its reason; a backjump drops it.
 Construction looks at the caller's ``deadline`` every few thousand
 clauses, a family's included; a solver whose construction ran past it
 answers ``TIMEOUT`` from :meth:`CdclSolver.solve` without searching.
@@ -112,11 +117,10 @@ class CdclSolver:
     the implication lists; every longer clause kept is a fresh list, so
     the caller's clauses are never mutated and may be shared between
     solvers.  A :class:`cnf.ValueLinks` family goes into the implication
-    lists without its clauses being built; a :class:`cnf.Totalizer` is
-    streamed, 4,096 clauses at a time, into the same store as the lists.
-    ``deadline``, a
-    :func:`time.monotonic` value, bounds construction as ``solve``'s
-    budget bounds the search.
+    lists without its clauses being built; a :class:`cnf.Totalizer`'s
+    binaries go there too, and its ternaries are propagated in place
+    (see :meth:`_bound`).  ``deadline``, a :func:`time.monotonic` value,
+    bounds construction as ``solve``'s budget bounds the search.
     """
 
     def __init__(
@@ -143,22 +147,32 @@ class CdclSolver:
         self.implied: list[list[int]] = [[] for _ in range(2 * var_count + 1)]
         # a binary's reason code ``bin_base - lit`` names its false literal
         self.bin_base = -2 - var_count
-        self.bin_conflict: tuple[int, int] = (0, 0)
+        # the false literals of a binary or totalizer conflict
+        self.bin_conflict: tuple[int, ...] = (0, 0)
+        # tern[lit]: the totalizer ternaries that a false lit propagates, as
+        # (first, second, shift): the clauses (lit, u, w) for the pairs
+        # u, w of zip(first, second[shift:])
+        self.tern: list[tuple[tuple[list[int], list[int], int], ...]] = [()] * (
+            2 * var_count + 1
+        )
         self.act = [0.0] * n1
         self.var_inc = 1.0
         self.cla_inc = 1.0
         self.heap: list[tuple[float, int]] = []
         # 1 while the heap holds the entry (-act[v], v); at most one does
         self.in_heap = bytearray(b"\x01") * n1
-        self.heap_cap = 2 * var_count + 64  # stale entries past it: rebuild
         self.seen = bytearray(n1)
         self.stats = SatStats()
         self.ok = True
         self.n_problem = 0  # long problem clauses; the learned ones follow
         self.n_binary = 0  # problem binaries, kept as implications only
+        self.n_tern = 0  # totalizer ternaries, propagated in place
         self.max_learnts = max_learnts
         self._units: list[int] = []
         self.expired = False  # construction ran past ``deadline``
+        # 29 attributes: CPython 3.11 shares an instance's dict keys up to
+        # 30, and past that every attribute read of the search is slower
+        # (2 % of search time, measured by adding two to this solver)
 
         kept = self.clauses
         watches = self.watches
@@ -174,7 +188,12 @@ class CdclSolver:
                         return
                     continue
                 part = part.clauses()
-            unread = iter(part)  # a totalizer builds its clauses as they are read
+            elif isinstance(part, cnf.Totalizer):
+                if not self._bound(part, occurs, deadline):
+                    self.expired = True
+                    return
+                continue
+            unread = iter(part)
             while chunk := list(islice(unread, _DEADLINE_CHUNK)):
                 if deadline is not None and time.monotonic() > deadline:
                     self.expired = True
@@ -251,6 +270,84 @@ class CdclSolver:
                         implied[y].append(x)
         return True
 
+    def _bound(
+        self, family: cnf.Totalizer, occurs: list[int], deadline: float | None
+    ) -> bool:
+        """Take a totalizer in without its ternaries; False when the
+        deadline passed first.
+
+        Node by node, in the family's order: the binaries go into the
+        implication lists and the root's units into ``_units``.  A node
+        whose children are both leaves keeps its one ternary as a clause,
+        since its two inputs may repeat or complement each other.  Every
+        other node's ternaries ``x | y | o``, over three distinct
+        variables, become entries of ``tern`` for a false ``x``, ``y`` or
+        ``o``, and their literals' occurrences are counted from the node's
+        sizes, so the initial activities are those of the clauses.
+        """
+        implied, tern, kept = self.implied, self.tern, self.clauses
+        read = due = 0  # clauses' worth read, and where the next look is due
+        for not_a, not_b, out in family.nodes():
+            if read >= due:
+                if deadline is not None and time.monotonic() > deadline:
+                    return False
+                due = read + _DEADLINE_CHUNK
+            if not out:  # the root: binaries and units only
+                root = family.root(not_a, not_b)
+                read += len(root)
+                for clause in root:
+                    if len(clause) == 1:
+                        self._units.append(clause[0])
+                    else:
+                        x, y = clause
+                        implied[x].append(y)
+                        implied[y].append(x)
+                continue
+            p, q, r = len(not_a), len(not_b), len(out)
+            for y, o in zip(not_b, out):
+                implied[y].append(o)
+                implied[o].append(y)
+            for x, o in zip(not_a, out):
+                implied[x].append(o)
+                implied[o].append(x)
+            read += p + q
+            if p == q == 1:  # two leaves: -a_1 | -b_1 | o_2
+                read += 1
+                x, y, o = clause = [not_a[0], not_b[0], out[1]]
+                if x == -y:
+                    continue
+                if x == y:
+                    implied[x].append(o)
+                    implied[o].append(x)
+                    continue
+                watches = self.watches
+                watches[x].append(len(kept))
+                watches[y].append(len(kept))
+                kept.append(clause)
+                for lit in clause:
+                    occurs[lit] += 1
+                continue
+            # x = not_a[i] sits in the ternaries with not_b[j] and
+            # out[i + j + 1], for i + j + 1 < r; and not_b[j] alike
+            for mine, other in ((not_a, not_b), (not_b, not_a)):
+                for i, x in enumerate(mine[: r - 1]):
+                    tern[x] += ((other, out, i + 1),)
+                    occurs[x] += min(len(other), r - i - 1)
+            # o_l = out[l - 1] sits in the ternaries with not_a[i - 1] and
+            # not_b[l - i - 1], for max(1, l - q) <= i <= min(p, l - 1)
+            not_b_rev = not_b[::-1]
+            for l in range(2, r + 1):
+                o = out[l - 1]
+                lo = max(1, l - q)
+                count = min(p, l - 1) - lo + 1
+                tern[o] += (
+                    (not_b_rev, not_a, lo - 1) if lo > 1 else (not_a, not_b_rev, q - l + 1),
+                )
+                occurs[o] += count
+                read += count
+                self.n_tern += count
+        return True
+
     @staticmethod
     def _sanitize(clause: list[int]) -> list[int] | None:
         lits: list[int] = []
@@ -283,14 +380,17 @@ class CdclSolver:
     def _propagate(self) -> int:
         """Unit propagation; returns -1 or the conflict.
 
-        A conflict is a clause index, or below -1 the reason code of a
-        problem binary whose literals are ``bin_conflict``.  A false
-        literal's implications run before its watch list.
+        A conflict is a clause index, or below -1 a code whose false
+        literals are ``bin_conflict``: a problem binary's two or a
+        totalizer ternary's three.  A false literal's implications run
+        first, then its totalizer ternaries, then its watch list.
         """
         val = self.val
         clauses = self.clauses
         watches = self.watches
         implied = self.implied
+        tern = self.tern
+        natives = self.n_tern > 0
         base = self.bin_base
         trail = self.trail
         level = self.level
@@ -320,6 +420,35 @@ class CdclSolver:
                     reason[v] = why
                     trail.append(other)
                     props += 1
+            if natives:
+                trig = tern[false_lit]
+                if trig:
+                    for first, second, shift in trig:
+                        for u, w in zip(first, second[shift:]):  # the clause false_lit | u | w
+                            val_u = val[u]
+                            if val_u == 1:
+                                continue
+                            val_w = val[w]
+                            if val_w == 1:
+                                continue
+                            if val_u == 0:
+                                if val_w == 0:
+                                    self.bin_conflict = (false_lit, u, w)
+                                    self.qhead = qhead
+                                    self.stats.propagations += props
+                                    return base - false_lit
+                                lit, other = w, u
+                            elif val_w == 0:
+                                lit, other = u, w
+                            else:
+                                continue
+                            val[lit] = 1
+                            val[-lit] = 0
+                            v = lit if lit > 0 else -lit
+                            level[v] = cur_level
+                            reason[v] = (lit, false_lit, other)
+                            trail.append(lit)
+                            props += 1
             wl = watches[false_lit]
             if not wl:
                 continue
@@ -411,7 +540,9 @@ class CdclSolver:
         idx = len(trail) - 1
         ci = confl_ci
         while True:
-            if ci >= 0:
+            if type(ci) is tuple:  # a totalizer ternary, its implied literal first
+                clause = ci[1:]
+            elif ci >= 0:
                 clause = clauses[ci]
                 if ci >= n_problem:
                     self._bump_clause(ci)
@@ -471,7 +602,9 @@ class CdclSolver:
         """Deep check: is ``lit`` implied by the rest of the learned clause?
 
         Walks the reason chain; every reached variable must be marked seen
-        or sit at level 0, otherwise the literal has to stay.
+        or sit at level 0, otherwise the literal has to stay.  ``lit`` is
+        not a decision, and no decision is pushed, so every literal popped
+        has a reason.
         """
         seen = self.seen
         level = self.level
@@ -483,11 +616,9 @@ class CdclSolver:
         while stack:
             p = stack.pop()
             ci = reason[p if p > 0 else -p]
-            if ci == -1:
-                for v in marked:
-                    seen[v] = 0
-                return False
-            for r in clauses[ci][1:] if ci >= 0 else (base - ci,):
+            for r in (
+                ci[1:] if type(ci) is tuple else clauses[ci][1:] if ci >= 0 else (base - ci,)
+            ):
                 w = r if r > 0 else -r
                 if not seen[w] and level[w] > 0:
                     if reason[w] == -1:
@@ -522,7 +653,7 @@ class CdclSolver:
         del trail[limit:]
         del self.trail_lim[lvl:]
         self.qhead = limit
-        if len(heap) > self.heap_cap:
+        if len(heap) > 2 * self.n + 64:  # stale entries past it: rebuild
             self._rebuild_heap()
 
     def _pick_branch(self) -> int | None:
@@ -570,7 +701,7 @@ class CdclSolver:
         for lit in self.trail:
             v = abs(lit)
             old = self.reason[v]
-            if old >= 0:
+            if type(old) is int and old >= 0:
                 self.reason[v] = remap.get(old, -1)
 
     def solve(self, budget: float | None = None) -> SatResult:
@@ -598,7 +729,7 @@ class CdclSolver:
         conflicts_until_restart = _RESTART_BASE * _luby(restart_idx)
         learnt_cap = self.max_learnts
         if learnt_cap is None:
-            learnt_cap = max(4000, 2 * max(1, self.n_problem + self.n_binary))
+            learnt_cap = max(4000, 2 * max(1, self.n_problem + self.n_binary + self.n_tern))
         check_counter = 0
         stats = self.stats
         saved = self.saved

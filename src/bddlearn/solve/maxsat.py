@@ -20,8 +20,8 @@ symmetry, such as :func:`bddlearn.encode.ordered_tail`, belong in the
 hard clauses; they must keep some model of each cost, and the UNSAT
 proof at the end then refutes one representative per symmetry class.
 The cardinality bound is a :class:`bddlearn.cnf.Totalizer` family, which
-costs O(n) to append; the solver builds its clauses while it reads them,
-under its construction deadline.  A call whose bound is appended only
+costs O(n) to append; the solver reads it node by node under its
+construction deadline and propagates its ternaries without building them.  A call whose bound is appended only
 after the deadline gets no solver, and a solver whose construction runs
 past the deadline does not search.
 """
@@ -129,8 +129,8 @@ def maxsat_solve(
         working.hard.extend(relaxed.hard)
         if best_cost <= len(relax):  # a bound of len(relax) excludes nothing
             cnf.at_most_k(working, relax, best_cost - 1)
-            # appending the bound is O(n); the solver's construction builds
-            # its clauses, under the same deadline
+            # appending the bound is O(n); the solver's construction reads
+            # it, under the same deadline
             if expired():
                 return result(False)
         # a model comes back checked against the bound and every hard clause

@@ -1,6 +1,8 @@
+import gc
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -125,8 +127,9 @@ def test_search_trajectory_is_pinned():
     st = res.stats
     assert (res.cost, res.iterations) == (5, 11)
     # unlike the pigeonhole pins, these counts also follow the encoding of
-    # the cost bound (cnf.at_most_k), not only the solver
-    assert (st.conflicts, st.decisions, st.propagations) == (1979, 2898, 135040)
+    # the cost bound (cnf.at_most_k) and the order in which the solver
+    # propagates its ternaries in place, not only the search
+    assert (st.conflicts, st.decisions, st.propagations) == (1546, 2227, 112958)
 
 
 def _wide_probe(seed: int):
@@ -182,6 +185,18 @@ def _expanded(hard: cnf.Clauses) -> list[list[int]]:
     return [c for part in hard.parts for c in (part if type(part) is list else part.clauses())]
 
 
+def _links_expanded(hard: cnf.Clauses) -> cnf.Clauses:
+    """``hard`` with its feature-value links as clause lists; a totalizer
+    stays a family, which the solver reads in place either way."""
+    flat = cnf.Clauses()
+    for part in hard.parts:
+        if isinstance(part, cnf.Totalizer):
+            flat.add_family(part)
+        else:
+            flat.extend(part if type(part) is list else part.clauses())
+    return flat
+
+
 def test_the_link_family_solves_as_its_expanded_clauses():
     # the solver reads the family into its implication lists unbuilt; the
     # search must not differ by a single step from one over its clauses
@@ -195,7 +210,7 @@ def test_the_link_family_solves_as_its_expanded_clauses():
         formula.add_hard_clauses(ordered_tail(ctx))
         assert _has_links(formula)
         family = _run(formula.hard, formula.var_count, seed=k)
-        assert family == _run(_expanded(formula.hard), formula.var_count, seed=k)
+        assert family == _run(_links_expanded(formula.hard), formula.var_count, seed=k)
         statuses.append(family[0])
 
         ds = random_dataset(rng, k=k, m=m)
@@ -206,7 +221,7 @@ def test_the_link_family_solves_as_its_expanded_clauses():
             cnf.at_most_k(formula, [-c[0] for c, _ in formula.soft], bound)
             family = _run(formula.hard, formula.var_count, max_learnts=max_learnts)
             assert _has_links(formula)  # the solver built none of its clauses
-            flat = _expanded(formula.hard)
+            flat = _links_expanded(formula.hard)
             assert family == _run(flat, formula.var_count, max_learnts=max_learnts)
             assert family[0] == (SAT if bound == opt else UNSAT)
     assert SAT in statuses and UNSAT in statuses
@@ -308,9 +323,30 @@ def _unbuilt_totalizer(self):
     raise AssertionError("the totalizer was built as a list")
 
 
+def _bounded_sat(clauses, n, lits, k) -> bool:
+    """Whether some assignment of 1..n meets ``clauses`` with at most ``k``
+    of ``lits`` true, by enumeration."""
+    return any(
+        all(cnf.clause_satisfied(c, a) for c in clauses)
+        and sum(cnf.lit_true(x, a) for x in lits) <= k
+        for a in ({v: bits >> (v - 1) & 1 for v in range(1, n + 1)} for bits in range(1 << n))
+    )
+
+
+def _in_place_ternaries(family: cnf.Totalizer) -> set[tuple[int, ...]]:
+    """The ternaries, sorted, of the family's nodes that have an internal child."""
+    return {
+        tuple(sorted(clause))
+        for not_a, not_b, out in family.nodes()
+        if out and len(not_a) + len(not_b) > 2
+        for i, x in enumerate(not_a)
+        for clause in ([x, y, o] for y, o in zip(not_b, out[i + 1 :]))
+    }
+
+
 def test_the_solver_reads_a_totalizer_as_its_clauses(monkeypatch):
-    # the solver streams the bound's clauses from the family; its search
-    # must not differ by a single step from one over the built lists
+    # the solver reads the bound from the family; its answer must be the
+    # one the clauses give, with repeated and complementary inputs
     rng = random.Random(37)
     for trial in range(60):
         clauses, n = random_formula(rng, max_vars=10, max_clauses=30)
@@ -320,18 +356,132 @@ def test_the_solver_reads_a_totalizer_as_its_clauses(monkeypatch):
         f.add_hard_clauses(clauses)
         k = rng.randint(2, len(lits) - 1)
         cnf.at_most_k(f, lits, k)
-        flat = _expanded(f.hard)
         with monkeypatch.context() as m:
             m.setattr(cnf.Totalizer, "clauses", _unbuilt_totalizer)
             result = _run(f.hard, f.var_count, seed=trial)
-        assert result == _run(flat, f.var_count, seed=trial)
         # satisfiable iff some assignment of 1..n meets the clauses and the bound
-        bounded = any(
-            all(cnf.clause_satisfied(c, a) for c in clauses)
-            and sum(cnf.lit_true(x, a) for x in lits) <= k
-            for a in ({v: bits >> (v - 1) & 1 for v in range(1, n + 1)} for bits in range(1 << n))
-        )
-        assert result[0] == (SAT if bounded else UNSAT)
+        assert result[0] == (SAT if _bounded_sat(clauses, n, lits, k) else UNSAT)
+
+
+def test_random_bounds_solve_as_their_expanded_clauses():
+    # the ternaries of a node with an internal child are propagated in
+    # place; initial activities, status and models must be those of the
+    # expanded clauses, also when learned-clause deletion runs with ternary
+    # reasons on the trail
+    rng = random.Random(43)
+    statuses = Counter()
+    for trial in range(160):
+        clauses, n = random_formula(rng, max_vars=10, max_clauses=24)
+        lits = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(5, 14))]
+        k = rng.randint(2, len(lits) - 1)
+        f = cnf.Formula(n)
+        f.add_hard_clauses(clauses)
+        cnf.at_most_k(f, lits, k)
+        family = f.hard.parts[-1]
+        flat = _expanded(f.hard)
+        max_learnts = 5 if trial % 3 == 0 else None
+        solver = CdclSolver(f.hard, f.var_count, seed=trial, max_learnts=max_learnts)
+        kept = {tuple(sorted(c)) for c in solver.clauses[: solver.n_problem]}
+        assert not kept & _in_place_ternaries(family)
+        # occurrences counted from the node sizes: the clauses' activities
+        assert solver.act == CdclSolver(flat, f.var_count, seed=trial).act
+        res = solver.solve(60)
+        assert res.status == _run(flat, f.var_count, seed=trial)[0]
+        assert res.status == (SAT if _bounded_sat(clauses, n, lits, k) else UNSAT)
+        if res.status == SAT:
+            assert all(cnf.clause_satisfied(c, res.model) for c in flat)
+        statuses[res.status, max_learnts] += 1
+    assert len(statuses) == 4  # SAT and UNSAT, with and without deletion
+
+
+def test_every_ternary_reason_is_a_clause_of_its_family():
+    rng = random.Random(47)
+    reasons = 0
+    for trial in range(30):
+        n = rng.randint(12, 40)
+        clauses = [
+            [rng.choice((1, -1)) * v for v in rng.sample(range(1, n + 1), 3)]
+            for _ in range(rng.randint(n, 3 * n))
+        ]
+        lits = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(n // 2, n))]
+        f = cnf.Formula(n)
+        f.add_hard_clauses(clauses)
+        cnf.at_most_k(f, lits, rng.randint(2, len(lits) // 2))
+        family = {tuple(sorted(c)) for c in f.hard.parts[-1].clauses()}
+        solver = CdclSolver(f.hard, f.var_count, seed=trial, max_learnts=10)
+        solver.solve(60)
+        for lit in solver.trail:
+            why = solver.reason[abs(lit)]
+            if type(why) is tuple:
+                reasons += 1
+                assert why[0] == lit and tuple(sorted(why)) in family
+                assert [solver.val[x] for x in why] == [1, 0, 0]
+    assert reasons
+
+
+def test_propagation_leaves_no_clause_of_the_bound_unit():
+    # each ternary propagates on each of its three literals going false:
+    # after every propagation without a conflict, no clause of the family
+    # is false or has one free literal and the others false
+    rng = random.Random(53)
+    checked = 0
+    for trial in range(40):
+        n = rng.randint(10, 30)
+        lits = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(6, 2 * n))]
+        f = cnf.Formula(n)
+        cnf.at_most_k(f, lits, rng.randint(2, len(lits) // 2))
+        family = f.hard.parts[-1].clauses()
+        solver = CdclSolver(f.hard, f.var_count, seed=trial)
+        val = solver.val
+        for lit in solver._units:
+            if val[lit] == -1:
+                solver._enqueue(lit, -1)
+        free = list(range(1, f.var_count + 1))
+        rng.shuffle(free)
+        while solver._propagate() == -1:
+            for clause in family:
+                values = sorted(val[x] for x in clause)
+                assert values[-1] == 1 or values[1] == -1, clause  # true or two free
+            checked += 1
+            free = [v for v in free if val[v] == -1]
+            if not free:
+                break
+            solver.trail_lim.append(len(solver.trail))
+            solver._enqueue(rng.choice((1, -1)) * free.pop(), -1)
+    assert checked > 200
+
+
+def test_a_solver_over_a_large_bound_holds_no_ternary():
+    # the (500, 40, 3) MaxSAT bound alone: as 63,786 clauses the solver
+    # held 10.9 MB; in place, its store keeps only the 244 ternaries of
+    # leaf pairs, and construction leaves no cycle for the collector
+    f = cnf.Formula(500)
+    cnf.at_most_k(f, [v if v % 2 else -v for v in range(1, 501)], 198)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        solver = CdclSolver(f.hard, f.var_count)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        cycles = gc.collect()
+        if was_enabled:
+            gc.enable()
+    assert held < 4 << 20, held
+    assert peak < 5 << 20, peak
+    assert cycles == 0
+    assert solver.n_problem == 244 and all(len(c) == 3 for c in solver.clauses)
+    assert solver.n_problem + solver.n_binary + solver.n_tern + len(solver._units) == len(f.hard)
+
+
+def test_the_solver_keeps_29_attributes_at_most():
+    # CPython 3.11 shares an instance's dict keys up to 30; a solver with 30
+    # attributes searched 2 % slower, every attribute read losing its fast path
+    f = cnf.Formula(6)
+    cnf.at_most_k(f, range(1, 7), 2)
+    assert len(vars(CdclSolver(f.hard, f.var_count))) <= 29
 
 
 def test_the_solver_looks_at_the_deadline_while_it_reads_a_totalizer(monkeypatch):
@@ -345,9 +495,13 @@ def test_the_solver_looks_at_the_deadline_while_it_reads_a_totalizer(monkeypatch
 
     monkeypatch.setattr(cdcl, "time", SimpleNamespace(monotonic=clock))
     solver = CdclSolver(f.hard, f.var_count, deadline=3.5)
-    assert solver.expired and len(ticks) == 4  # the fourth chunk is not read
-    kept = len(solver.clauses) + sum(map(len, solver.implied)) // 2
-    assert kept == 3 * cdcl._DEADLINE_CHUNK
+    assert solver.expired and len(ticks) == 4  # the fourth look ends the read
+    # a whole read looks once per _DEADLINE_CHUNK clauses' worth of nodes,
+    # though a node may hold more (14,549 in the largest here)
+    ticks.clear()
+    solver = CdclSolver(f.hard, f.var_count, deadline=len(f.hard))
+    chunks = -(-len(f.hard) // cdcl._DEADLINE_CHUNK)
+    assert not solver.expired and chunks // 2 <= len(ticks) <= chunks
 
 
 def test_a_certificate_never_builds_its_bound_as_lists(monkeypatch):
