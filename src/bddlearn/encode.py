@@ -50,7 +50,9 @@ class EncodingContext:
     n_examples: int
     a: tuple[tuple[int, ...], ...]  # a[r][i], 0-based
     c: tuple[int, ...]  # c[j], 0-based
-    d: tuple[tuple[int, ...], ...] | None  # d[i][q], 0-based
+    # d[i][q], 0-based; rows with one feature vector may hold one variable
+    # (encode_maxsat's share_vectors)
+    d: tuple[tuple[int, ...], ...] | None
     feature_names: tuple[str, ...] | None = None
 
     def to_json(self) -> dict:
@@ -116,7 +118,22 @@ def _require_consistent(dataset: Dataset) -> None:
         )
 
 
-def _new_context(dataset: Dataset, depth: int, variant: str):
+def _vector_slots(dataset: Dataset) -> tuple[list[int], list[int]]:
+    """Each row's slot, the index of its feature vector in the order of
+    first appearance, and the first row of each slot."""
+    first: dict[tuple[int, ...], int] = {}
+    for q, row in enumerate(dataset.features):
+        first.setdefault(row, q)
+    slot = {row: s for s, row in enumerate(first)}
+    return [slot[row] for row in dataset.features], list(first.values())
+
+
+def _new_context(
+    dataset: Dataset, depth: int, variant: str, slots: list[int] | None = None
+):
+    """Fresh ``a``, ``c`` and (but for ``BDD1``) ``d`` variables, in that
+    order.  Row ``q`` takes the ``d`` variables of slot ``slots[q]``, one
+    set per slot; by default each row is its own slot."""
     k, m = dataset.k, dataset.m
     formula = cnf.Formula()
     a = tuple(
@@ -125,7 +142,10 @@ def _new_context(dataset: Dataset, depth: int, variant: str):
     c = tuple(formula.fresh_var() for _ in range(1 << depth))
     d = None
     if variant != BDD1:
-        d = tuple(tuple(formula.fresh_var() for _ in range(m)) for _ in range(depth))
+        slots = range(m) if slots is None else slots
+        n_slots = max(slots, default=-1) + 1
+        fresh = [[formula.fresh_var() for _ in range(n_slots)] for _ in range(depth)]
+        d = tuple(tuple(row[s] for s in slots) for row in fresh)
     ctx = EncodingContext(
         variant=variant,
         depth=depth,
@@ -204,17 +224,27 @@ def _classification_clauses(ctx: EncodingContext, dataset: Dataset, errors=None)
     return clauses
 
 
-def _feature_value_links(formula: cnf.Formula, ctx: EncodingContext, dataset: Dataset):
+def _feature_value_links(
+    formula: cnf.Formula,
+    ctx: EncodingContext,
+    dataset: Dataset,
+    rows: list[int] | None = None,
+):
     """Placing feature ``r`` at position ``i`` fixes ``d[i][q]`` to row ``q``'s value.
 
     The ``k * m * depth`` clauses ``-a[r][i] | ±d[i][q]`` go to the
     formula as one :class:`cnf.ValueLinks` family, in the order example,
-    position, feature.  Counting and emitting the formula, and the
-    embedded solver, read the family as it is; a model check that
-    iterates ``formula.hard`` expands it once.
+    position, feature; given ``rows``, over those examples only, in
+    their order.  Counting and emitting the formula, and the embedded
+    solver, read the family as it is; a model check that iterates
+    ``formula.hard`` expands it once.
     """
     assert ctx.d is not None
-    formula.add_value_links(cnf.ValueLinks(ctx.a, ctx.d, dataset.features))
+    val, features = ctx.d, dataset.features
+    if rows is not None:
+        val = tuple(tuple(d[q] for q in rows) for d in val)
+        features = tuple(features[q] for q in rows)
+    formula.add_value_links(cnf.ValueLinks(ctx.a, val, features))
 
 
 def encode_bdd2(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingContext]:
@@ -264,7 +294,9 @@ def literal_count(dataset: Dataset, depth: int, variant: str = BDD2) -> int:
     return count
 
 
-def encode_maxsat(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingContext]:
+def encode_maxsat(
+    dataset: Dataset, depth: int, *, share_vectors: bool = False
+) -> tuple[cnf.Formula, EncodingContext]:
     """Partial MaxSAT lift of the improved encoding.
 
     Structural clauses and the feature-value links stay hard.  Each
@@ -275,11 +307,27 @@ def encode_maxsat(dataset: Dataset, depth: int) -> tuple[cnf.Formula, EncodingCo
     is classified correctly iff all of its classification clauses hold,
     and wrongly iff exactly one fails, which forces ``e[q]``; so the
     optimum cost counts misclassified examples, with ``m`` soft clauses.
+
+    With ``share_vectors``, rows that share a feature vector share their
+    ``d`` variables: ``ctx.d[i][q]`` keeps one entry per row, the rows of
+    one vector hold one variable id, and the formula has ``u * depth``
+    ``d`` variables for ``u`` distinct vectors, numbered in the order of
+    each vector's first row.  The links run over those first rows only,
+    ``k * u * depth`` clauses; every row keeps its classification
+    clauses, its error variable and its soft unit, so the soft clauses
+    and every cost stay the same.  This is sound: the links force
+    ``d[i][q]`` to row ``q``'s value of the one feature placed at
+    position ``i``, so equal rows hold equal ``d`` values in every model
+    of the per-example formula, and merging their variables keeps every
+    model, with its cost, and the optimum.  The default is the paper's
+    per-example encoding, which ``bddlearn encode`` and the external
+    solver path emit.
     """
     check_depth(depth)
-    formula, ctx = _new_context(dataset, depth, MAXSAT)
+    slots, first = _vector_slots(dataset) if share_vectors else (None, None)
+    formula, ctx = _new_context(dataset, depth, MAXSAT, slots)
     _structural_constraints(formula, ctx)
-    _feature_value_links(formula, ctx, dataset)
+    _feature_value_links(formula, ctx, dataset, first)
     errors = [formula.fresh_var() for _ in range(dataset.m)]
     formula.add_hard_clauses(_classification_clauses(ctx, dataset, errors))
     for e in errors:

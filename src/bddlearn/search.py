@@ -236,8 +236,11 @@ def best_subset(
     A model of the full ``encode_maxsat`` formula, restricted to them,
     errs no more on the core's formula, whose clauses are the full
     formula's for those rows up to a renaming of the ``d`` and error
-    variables, so refuting ``target - 1`` errors there refutes it on the
-    full formula (the example-subset argument of Avellaneda, AAAI 2020).
+    variables, with core rows of one feature vector sharing their ``d``
+    variables (``share_vectors``, which every model of the full formula
+    allows, since equal rows hold equal ``d`` values there), so refuting
+    ``target - 1`` errors there refutes it on the full formula (the
+    example-subset argument of Avellaneda, AAAI 2020).
     At target 1 the core holds at most ``2 * C(k, depth)`` rows.
 
     ``stop`` is asked before each feature is tried; once it answers true
@@ -450,7 +453,10 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     MaxSAT mode, 1 in SAT mode.  One certificate serves both modes: the
     solver refutes ``target - 1`` errors on the core's ``encode_maxsat``
     formula, which keeps the tail-sorted orderings only
-    (:func:`encode.ordered_tail`).  In MaxSAT mode that proves the
+    (:func:`encode.ordered_tail`) and gives core rows of one feature
+    vector one set of ``d`` variables (``share_vectors``); its clauses
+    are the full formula's for the core rows up to a renaming of the
+    ``d`` and error variables.  In MaxSAT mode that proves the
     optimum, and ``core_rows`` reports the rows it encodes, 0 when no
     proof is encoded; in SAT mode it proves that no perfect classifier
     exists.  A walk stopped by the budget before its first leaf raises
@@ -557,7 +563,9 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
             raise SolverTimeoutError(f"no answer within {cfg.budget}s")
         return answer(False)  # the anytime model
     target = best.cost if cfg.mode == MODE_MAXSAT else 1
-    formula, ctx = encode.encode_maxsat(work.subset(walk.core), cfg.depth)
+    formula, ctx = encode.encode_maxsat(
+        work.subset(walk.core), cfg.depth, share_vectors=True
+    )
     formula.add_hard_clauses(encode.ordered_tail(ctx))
     # a budget spent by now builds no solver: MaxSAT mode returns the
     # walk's optimum as the anytime model, and SAT mode times out

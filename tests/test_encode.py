@@ -280,6 +280,89 @@ def test_tail_order_keeps_the_optimum(depth, k, m, data):
     assert _sorted_tail_ok(decode(res.model, ctx)[0])
 
 
+def _repeating_dataset(rng: random.Random, k: int, m: int, conflicts: bool):
+    """``m`` rows drawn from at most ``m // 2`` distinct vectors, so some
+    vector repeats; without ``conflicts`` the label is a function of the
+    vector, with them each row draws its own."""
+    pool = rng.sample(range(1 << k), rng.randint(1, min(m // 2, 1 << k)))
+    codes = [rng.choice(pool) for _ in range(m)]
+    rows = [tuple(code >> r & 1 for r in range(k)) for code in codes]
+    truth = {code: rng.randint(0, 1) for code in pool}
+    labels = [rng.randint(0, 1) if conflicts else truth[code] for code in codes]
+    return dataset_from_bits(rows, labels)
+
+
+def _links(formula: cnf.Formula) -> cnf.ValueLinks:
+    [links] = [p for p in formula.hard.parts if isinstance(p, cnf.ValueLinks)]
+    return links
+
+
+def _errors(ds, ctx, model) -> int:
+    ordering, table = decode(model, ctx)
+    return sum(
+        classify_table(table, ordering, row) != label
+        for row, label in zip(ds.features, ds.labels)
+    )
+
+
+def test_shared_d_variables_keep_the_optimum_of_the_per_example_formula():
+    # on data with repeated rows, the certificate's formula answers every
+    # bound as the per-example formula does: OPTIMUM at the optimum, and a
+    # model of the optimum's cost one above it
+    rng = random.Random(41)
+    kinds = set()
+    for trial in range(160):
+        k = rng.randint(2, 5)
+        ds = _repeating_dataset(rng, k, rng.randint(4, 24), conflicts=trial % 2 == 1)
+        depth = rng.randint(1, min(3, k))
+        kinds.add(bool(ds.conflict_groups))
+        best = best_split_error(ds, depth)
+        for share in (False, True):
+            formula, ctx = encode_maxsat(ds, depth, share_vectors=share)
+            formula.add_hard_clauses(ordered_tail(ctx))
+            proof = maxsat_solve(formula, budget=60, seed=trial, upper=best)
+            assert (proof.status, proof.model) == ("OPTIMUM", None)
+            found = maxsat_solve(formula, budget=60, seed=trial, upper=best + 1)
+            assert (found.status, found.cost) == ("OPTIMUM", best)
+            assert _errors(ds, ctx, found.model) == best
+    assert kinds == {False, True}
+
+
+def test_rows_of_one_vector_share_their_d_variables():
+    rng = random.Random(43)
+    for trial in range(40):
+        k, m, depth = rng.randint(2, 5), rng.randint(4, 24), rng.randint(1, 3)
+        ds = _repeating_dataset(rng, k, m, conflicts=trial % 2 == 1)
+        u = len(set(ds.features))
+        formula, ctx = encode_maxsat(ds, depth, share_vectors=True)
+        assert len(_links(formula)) == k * u * depth < k * m * depth
+        d_vars = {v for row in ctx.d for v in row}
+        assert len(d_vars) == u * depth
+        # numbered right after the table cells, position by position
+        first = ctx.c[-1] + 1
+        assert sorted(d_vars) == list(range(first, first + u * depth))
+        for i in range(depth):
+            assert len(ctx.d[i]) == m
+            for q in range(m):
+                for p in range(m):
+                    same = ds.features[q] == ds.features[p]
+                    assert (ctx.d[i][q] == ctx.d[i][p]) == same
+        # each row keeps its error variable, its soft unit and its
+        # classification clauses
+        per_example, _ = encode_maxsat(ds, depth)
+        assert formula.var_count == per_example.var_count - (m - u) * depth
+        assert len(formula.soft) == m
+        assert len(formula.hard) == len(per_example.hard) - k * (m - u) * depth
+    # with no repeated vector, the shared formula is the per-example one
+    ds = random_dataset(random.Random(0), k=8, m=16)
+    assert len(set(ds.features)) == ds.m
+    shared, per_example = (
+        cnf.dimacs_wcnf(encode_maxsat(ds, 3, share_vectors=share)[0])
+        for share in (True, False)
+    )
+    assert shared == per_example
+
+
 def test_decode_reference_model(demo8):
     formula, ctx = encode_bdd2(demo8, 2)
     model = {v: 0 for v in range(1, formula.var_count + 1)}

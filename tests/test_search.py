@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bddlearn import search, solve
+from bddlearn import cnf, search, solve
 from bddlearn.bdd import SINK_ONE, TruthTable, classify_table, node_count
 from bddlearn.data import DataError, cell_counts, dataset_from_bits
 from bddlearn.search import (
@@ -360,9 +360,9 @@ def test_a_budget_spent_after_the_walk_returns_its_optimum(monkeypatch):
     ds = random_dataset(random.Random(1), k=16, m=120)
     encode_fn = search.encode.encode_maxsat
 
-    def slow_encode(*args):
+    def slow_encode(*args, **kwargs):
         time.sleep(0.5)
-        return encode_fn(*args)
+        return encode_fn(*args, **kwargs)
 
     monkeypatch.setattr(search.encode, "encode_maxsat", slow_encode)
     built = _count_solvers(monkeypatch)
@@ -890,8 +890,8 @@ def _recorded_certificates(monkeypatch):
     encoded, answers = [], []
     encode_fn, solve_fn = search.encode.encode_maxsat, search.solve.maxsat_solve
 
-    def recorded_encode(dataset, depth):
-        encoded.append((dataset, *encode_fn(dataset, depth)))
+    def recorded_encode(dataset, depth, **kwargs):
+        encoded.append((dataset, *encode_fn(dataset, depth, **kwargs)))
         return encoded[-1][1:]
 
     def recorded_solve(formula, **kwargs):
@@ -920,6 +920,30 @@ def test_the_certificate_refutes_the_core_rows_only(monkeypatch):
     assert [(upper, answer.status) for _, upper, answer in answers] == [
         (1, solve.OPTIMUM)
     ]
+
+
+@pytest.mark.parametrize("seed, k, m, depth", [(11, 4, 12, 3), (1, 5, 16, 2)])
+def test_core_rows_of_one_vector_share_the_certificates_links(
+    monkeypatch, seed, k, m, depth
+):
+    # the core repeats a feature vector: with conflict groups (seed 11)
+    # and with rows that repeat their label only (seed 1); the links run
+    # over the distinct vectors, and the certificate proves the optimum
+    ds = random_dataset(random.Random(seed), k=k, m=m)
+    core = search.best_subset(ds, depth, cost_core=True).core
+    distinct = len({ds.features[q] for q in core})
+    assert distinct < len(core)
+    encoded, answers = _recorded_certificates(monkeypatch)
+    model = learn(ds, LearnConfig(depth=depth, mode="maxsat", budget=60))
+    [(dataset, formula, ctx)] = encoded
+    [links] = [p for p in formula.hard.parts if isinstance(p, cnf.ValueLinks)]
+    assert dataset == ds.subset(core) and len(formula.soft) == len(core)
+    assert len(links.rows) == distinct < len(core) == ctx.n_examples
+    assert model.optimal
+    assert model.solver_stats["cost"] == best_split_error(ds, depth)
+    assert model.solver_stats["core_rows"] == len(core)
+    [(_, upper, answer)] = answers
+    assert (upper, answer.status) == (model.solver_stats["cost"], solve.OPTIMUM)
 
 
 def test_a_sat_mode_certificate_keeps_the_tail_sorted_orderings_only(monkeypatch):
