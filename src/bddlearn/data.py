@@ -50,9 +50,9 @@ class Dataset:
     built directly from bits.
 
     ``column_bits`` and ``label_bits`` hold the same matrix as Python-int
-    bitsets, row ``q`` at bit ``q``.  They and ``conflict_groups`` are
-    computed on first use and cached on the instance; they take no part
-    in equality.
+    bitsets, row ``q`` at bit ``q``.  They, ``conflict_groups`` and
+    ``conflict_pairs`` are computed on first use and cached on the
+    instance; they take no part in equality.
     """
 
     features: tuple[tuple[int, ...], ...]
@@ -106,6 +106,19 @@ class Dataset:
             for indices in groups.values()
             if len({self.labels[q] for q in indices}) == 2
         )
+
+    @cached_property
+    def conflict_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Disjoint ``(positive, negative)`` row pairs of one feature
+        vector: in each of ``conflict_groups``, its lowest positive row
+        with its lowest negative row, then the next two, ``min(pos, neg)``
+        pairs a group.  Every classifier errs on one row of each pair."""
+        pairs: list[tuple[int, int]] = []
+        for group in self.conflict_groups:
+            pos = [q for q in group if self.labels[q] == 1]
+            neg = [q for q in group if self.labels[q] == 0]
+            pairs += zip(pos, neg)
+        return tuple(pairs)
 
     def subset(self, indices: Iterable[int]) -> "Dataset":
         idx = list(indices)

@@ -321,7 +321,9 @@ def encode_maxsat(
     of the per-example formula, and merging their variables keeps every
     model, with its cost, and the optimum.  The default is the paper's
     per-example encoding, which ``bddlearn encode`` and the external
-    solver path emit.
+    solver path emit.  Neither form holds the clauses of
+    :func:`conflict_pair_clauses`, which a caller adds, as
+    ``search.learn`` does for its certificate.
     """
     check_depth(depth)
     slots, first = _vector_slots(dataset) if share_vectors else (None, None)
@@ -353,6 +355,23 @@ def ordered_tail(ctx: EncodingContext) -> list[list[int]]:
         for r in range(k)
         for s in range(r + 1)
     ]
+
+
+def conflict_pair_clauses(formula: cnf.Formula, dataset: Dataset) -> list[list[int]]:
+    """Clauses that charge each conflict pair of ``dataset`` one error.
+
+    ``formula`` is ``encode_maxsat(dataset, ...)``, whose soft units
+    ``[-e[q]]`` name the error variables.  For every pair ``(p, n)`` of
+    :attr:`Dataset.conflict_pairs` the binary clause ``e[p] | e[n]``:
+    ``min(pos, neg)`` clauses per conflict group.  The formula implies
+    them: the links force equal rows to equal ``d`` values, so both rows
+    of a pair reach one cell, whose one label is wrong for one of them.
+    Added to the formula, they keep every model and its cost, and hand
+    the solver the error floor that it would otherwise find by search
+    (OSDT's equivalent-points bound, Hu, Rudin & Seltzer, NeurIPS 2019).
+    """
+    errors = [-clause[0] for clause, _ in formula.soft]
+    return [[errors[p], errors[n]] for p, n in dataset.conflict_pairs]
 
 
 def decode(

@@ -456,18 +456,24 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     (:func:`encode.ordered_tail`) and gives core rows of one feature
     vector one set of ``d`` variables (``share_vectors``); its clauses
     are the full formula's for the core rows up to a renaming of the
-    ``d`` and error variables.  In MaxSAT mode that proves the
-    optimum, and ``core_rows`` reports the rows it encodes, 0 when no
-    proof is encoded; in SAT mode it proves that no perfect classifier
-    exists.  A walk stopped by the budget before its first leaf raises
-    :class:`SolverTimeoutError`; after it, the walk's best leaf is
-    returned in MaxSAT mode as the anytime model, not optimal and without
-    a solver, and SAT mode times out.  A budget that runs out after the
-    walk returns the same anytime model in MaxSAT mode and times out in
-    SAT mode.  Every model returned is re-checked row by row against its
-    cost, and a solver model is an internal error.  ``seed_cost`` reports
-    the walk's first leaf, the greedy classifier.  The external path
-    encodes the whole dataset and decodes the external solver's model.
+    ``d`` and error variables.  It also holds ``e[p] | e[n]`` for each
+    conflict pair of the core rows (:func:`encode.conflict_pair_clauses`),
+    two rows of one vector with opposite labels: the formula implies
+    these clauses, since both rows reach one cell, so they change no
+    model or cost and only shorten the proof.  In MaxSAT mode that proves
+    the optimum; ``core_rows`` reports the rows it encodes and
+    ``core_pairs`` its pair clauses, both 0 when no proof is encoded.  In
+    SAT mode it proves that no perfect classifier exists, and the
+    consistent data leave it no pairs.  A walk stopped by the budget
+    before its first leaf raises :class:`SolverTimeoutError`; after it,
+    the walk's best leaf is returned in MaxSAT mode as the anytime model,
+    not optimal and without a solver, and SAT mode times out.  A budget
+    that runs out after the walk returns the same anytime model in MaxSAT
+    mode and times out in SAT mode.  Every model returned is re-checked
+    row by row against its cost, and a solver model is an internal error.
+    ``seed_cost`` reports the walk's first leaf, the greedy classifier.
+    The external path encodes the whole dataset and decodes the external
+    solver's model.
     """
     deadline = time.monotonic() + cfg.budget
 
@@ -543,7 +549,7 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     best = walk.best
 
     def answer(
-        optimal: bool, stats=solve.SatStats(), iterations=0, core_rows=0
+        optimal: bool, stats=solve.SatStats(), iterations=0, core_rows=0, core_pairs=0
     ) -> LearnedModel:
         extra = {"seed_cost": walk.first_cost}
         if cfg.mode == MODE_MAXSAT:
@@ -552,6 +558,7 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
                 "iterations": iterations,
                 **extra,
                 "core_rows": core_rows,
+                "core_pairs": core_pairs,
             }
         _check_witness(work, best, cfg.depth)
         return build(best.ordering, best.table, optimal, _stats_dict(stats, extra))
@@ -563,10 +570,11 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
             raise SolverTimeoutError(f"no answer within {cfg.budget}s")
         return answer(False)  # the anytime model
     target = best.cost if cfg.mode == MODE_MAXSAT else 1
-    formula, ctx = encode.encode_maxsat(
-        work.subset(walk.core), cfg.depth, share_vectors=True
-    )
+    core = work.subset(walk.core)
+    formula, ctx = encode.encode_maxsat(core, cfg.depth, share_vectors=True)
     formula.add_hard_clauses(encode.ordered_tail(ctx))
+    pairs = encode.conflict_pair_clauses(formula, core)
+    formula.add_hard_clauses(pairs)
     # a budget spent by now builds no solver: MaxSAT mode returns the
     # walk's optimum as the anytime model, and SAT mode times out
     result = solve.maxsat_solve(
@@ -575,7 +583,9 @@ def learn(dataset: Dataset, cfg: LearnConfig) -> LearnedModel:
     if result.model is not None:
         raise RuntimeError("internal error: the solver beat the subset walk")
     if cfg.mode == MODE_MAXSAT:
-        return answer(result.optimal, result.stats, result.iterations, len(walk.core))
+        return answer(
+            result.optimal, result.stats, result.iterations, core.m, len(pairs)
+        )
     if result.optimal:
         raise _insufficient(cfg.depth)
     raise SolverTimeoutError(f"no answer within {cfg.budget}s")

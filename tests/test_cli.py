@@ -106,6 +106,7 @@ def test_learn_writes_model_and_dot(tmp_path, demo8_csv, capsys):
     assert doc["metrics"]["optimal"] is True
     assert doc["metrics"]["solver"]["seed_cost"] >= doc["metrics"]["solver"]["cost"]
     assert doc["metrics"]["solver"]["core_rows"] == 0  # a witness encodes no proof
+    assert doc["metrics"]["solver"]["core_pairs"] == 0
     assert set(doc["ordering"]) <= {"f1", "f2", "f3", "f4"}
     assert len(doc["table"]) == 4
     assert "digraph" in dot.read_text()

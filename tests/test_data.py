@@ -221,6 +221,15 @@ def test_conflict_groups_are_computed_once_per_dataset():
     assert ds == dataset_from_bits(ds.features, ds.labels)  # not in equality
 
 
+def test_conflict_pairs_join_the_lowest_rows_of_opposite_labels_first():
+    # (0, 0): positives 0, 3, 5 and negatives 2, 4; (1, 1) holds one label
+    rows = [(0, 0), (1, 1), (0, 0), (0, 0), (0, 0), (0, 0), (1, 1), (1, 0), (1, 0)]
+    ds = dataset_from_bits(rows, [1, 1, 0, 1, 0, 1, 1, 0, 1])
+    assert ds.conflict_pairs == ((0, 2), (3, 4), (8, 7))
+    assert ds.conflict_pairs is ds.conflict_pairs
+    assert dataset_from_bits([(0,), (1,)], [0, 1]).conflict_pairs == ()
+
+
 def test_dataset_validation():
     with pytest.raises(DataError):
         Dataset(features=((0, 1), (1,)), labels=(0, 1), feature_names=("a", "b"))

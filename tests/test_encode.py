@@ -328,6 +328,30 @@ def test_shared_d_variables_keep_the_optimum_of_the_per_example_formula():
     assert kinds == {False, True}
 
 
+def test_conflict_pair_clauses_keep_the_optimum_of_the_certificate():
+    # the certificate's formula, with the tail order and one clause
+    # e_p | e_n per conflict pair, answers every bound as before: OPTIMUM
+    # at the optimum, and a model of the optimum's cost one above it
+    rng = random.Random(47)
+    n_pairs = 0
+    for trial in range(120):
+        k = rng.randint(2, 5)
+        ds = _repeating_dataset(rng, k, rng.randint(4, 24), conflicts=True)
+        depth = rng.randint(1, min(3, k))
+        best = best_split_error(ds, depth)
+        formula, ctx = encode_maxsat(ds, depth, share_vectors=True)
+        formula.add_hard_clauses(ordered_tail(ctx))
+        pairs = encode.conflict_pair_clauses(formula, ds)
+        formula.add_hard_clauses(pairs)
+        n_pairs += len(pairs)
+        proof = maxsat_solve(formula, budget=60, seed=trial, upper=best)
+        assert (proof.status, proof.model) == ("OPTIMUM", None)
+        found = maxsat_solve(formula, budget=60, seed=trial, upper=best + 1)
+        assert (found.status, found.cost) == ("OPTIMUM", best)
+        assert _errors(ds, ctx, found.model) == best
+    assert n_pairs > 120
+
+
 def test_rows_of_one_vector_share_their_d_variables():
     rng = random.Random(43)
     for trial in range(40):

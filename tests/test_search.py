@@ -946,6 +946,50 @@ def test_core_rows_of_one_vector_share_the_certificates_links(
     assert (upper, answer.status) == (model.solver_stats["cost"], solve.OPTIMUM)
 
 
+def _pair_clauses(formula):
+    """The binary hard clauses over error variables only, as row pairs."""
+    row = {-clause[0]: q for q, (clause, _) in enumerate(formula.soft)}
+    return [
+        tuple(row[lit] for lit in clause)
+        for clause in formula.hard
+        if len(clause) == 2 and all(lit in row for lit in clause)
+    ]
+
+
+def test_the_certificate_charges_each_conflict_pair_of_its_core_one_error(monkeypatch):
+    # MaxSAT certificates over cores that repeat a vector with both labels
+    # hold one clause e_p | e_n per disjoint opposite-label pair, and
+    # report their count; a SAT-mode certificate (consistent data) holds none
+    encoded, answers = _recorded_certificates(monkeypatch)
+    rng = random.Random(5)
+    total = 0
+    for _ in range(40):
+        ds = random_dataset(rng, k=4, m=12)
+        model = learn(ds, LearnConfig(depth=3, mode="maxsat", budget=60))
+        assert model.optimal and model.solver_stats["cost"] == best_split_error(ds, 3)
+        if not model.solver_stats["core_rows"]:
+            assert model.solver_stats["core_pairs"] == 0
+            continue
+        (dataset, formula, _), _ = encoded.pop(), answers.pop()
+        groups: dict[tuple, list[int]] = {}
+        for q, features in enumerate(dataset.features):
+            groups.setdefault(features, [0, 0])[dataset.labels[q]] += 1
+        floor = sum(min(counts) for counts in groups.values())
+        pairs = _pair_clauses(formula)
+        assert len(pairs) == floor == model.solver_stats["core_pairs"]
+        for p, n in pairs:
+            assert dataset.features[p] == dataset.features[n]
+            assert dataset.labels[p] != dataset.labels[n]
+        assert len({q for pair in pairs for q in pair}) == 2 * floor
+        total += floor
+    assert total > 10
+    ds = random_dataset(random.Random(4), k=6, m=40, consistent=True)
+    with pytest.raises(DepthInsufficientError):
+        learn(ds, LearnConfig(depth=1, mode="sat", budget=60))
+    [(_, formula, _)] = encoded
+    assert _pair_clauses(formula) == []
+
+
 def test_a_sat_mode_certificate_keeps_the_tail_sorted_orderings_only(monkeypatch):
     # at depth 3 the certificate of SAT mode carries the lex-leader
     # clauses of the tail positions, as MaxSAT mode's does
@@ -1016,3 +1060,4 @@ def test_a_leaf_that_owes_its_cost_to_the_flip_puts_every_row_in_the_core(monkey
     assert model.optimal and len(built) == 1
     assert model.solver_stats["cost"] == 3
     assert model.solver_stats["core_rows"] == ds.m
+    assert model.solver_stats["core_pairs"] == 2  # one per vector
