@@ -87,19 +87,6 @@ class EncodingContext:
         )
 
 
-def rel(i: int, j: int, depth: int) -> int:
-    """Value of the ``i``-th ordering position in the ``j``-th table cell.
-
-    Both arguments are 1-based: ``i`` in ``[1, depth]``, ``j`` in
-    ``[1, 2**depth]``.
-    """
-    if not 1 <= i <= depth:
-        raise ValueError(f"position {i} outside 1..{depth}")
-    if not 1 <= j <= (1 << depth):
-        raise ValueError(f"cell {j} outside 1..{1 << depth}")
-    return ((j - 1) >> (depth - i)) & 1
-
-
 def check_depth(depth: int) -> None:
     """Raise ValueError unless ``depth`` is one the encoders support."""
     if depth < 1:

@@ -1,4 +1,4 @@
-"""SAT and MaxSAT solving: embedded CDCL, linear-search MaxSAT, external bridge."""
+"""Embedded CDCL, the one-call MaxSAT certificate and the external-solver bridge."""
 
 from .cdcl import SAT, TIMEOUT, UNSAT, CdclSolver, SatResult, SatStats, sat_solve
 from .external import IntegrationError, external_solve

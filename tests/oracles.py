@@ -3,6 +3,8 @@
 Everything here recomputes answers from first principles (semantic
 enumeration, exhaustive search, structural audits) without touching the
 solver, encoder, or diagram-construction code paths it is used to check.
+The one exception is :func:`certified_optimum`, which holds the MaxSAT
+certificate to an optimum that an oracle here computed.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ import random
 from functools import lru_cache
 from itertools import permutations
 
+from bddlearn import cnf
 from bddlearn.data import Dataset, dataset_from_bits
+from bddlearn.solve import FEASIBLE, OPTIMUM, maxsat_solve
 
 
 @lru_cache(maxsize=32)
@@ -149,6 +153,26 @@ def best_split_error(dataset: Dataset, depth: int) -> int:
         if err < best:
             best = err
     return best
+
+
+def certified_optimum(
+    formula: cnf.Formula, best: int, budget: float = 60, seed: int = 0
+) -> dict[int, int]:
+    """Check :func:`maxsat_solve` against the known optimum ``best`` of
+    ``formula`` from both sides, and return the model it finds.
+
+    The call at ``upper=best`` must prove that no model costs less (there
+    is nothing to prove at 0), and the call at ``best + 1`` must return a
+    model of the hard clauses that falsifies exactly ``best`` soft clauses.
+    """
+    if best > 0:
+        proof = maxsat_solve(formula, budget, seed, upper=best)
+        assert (proof.status, proof.model, proof.iterations) == (OPTIMUM, None, 1)
+    found = maxsat_solve(formula, budget, seed, upper=best + 1)
+    assert (found.status, found.cost) == (FEASIBLE, best)
+    assert cnf.verify_model(formula, found.model)
+    assert cnf.falsified_soft_weight(formula, found.model) == best
+    return found.model
 
 
 def greedy_classifier(dataset: Dataset, depth: int) -> tuple[tuple[int, ...], str, int]:

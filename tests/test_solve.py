@@ -21,13 +21,18 @@ from bddlearn.solve import (
     UNSAT,
     CdclSolver,
     IntegrationError,
-    SolverError,
     external_solve,
     maxsat_solve,
     sat_solve,
 )
 from bddlearn.search import LearnConfig, learn, min_depth
-from oracles import best_split_error, enumerate_sat, random_dataset, random_formula
+from oracles import (
+    best_split_error,
+    certified_optimum,
+    enumerate_sat,
+    random_dataset,
+    random_formula,
+)
 
 
 def _formula(clauses, n):
@@ -122,14 +127,17 @@ def test_search_trajectory_is_pinned():
     assert (st.conflicts, st.decisions, st.propagations, st.restarts) == (
         5287, 6240, 86875, 21
     )
-    formula, _ = encode_maxsat(random_dataset(random.Random(7), k=6, m=24), 3)
-    res = maxsat_solve(formula, budget=60)
+    # the proof that no depth-3 classifier errs on fewer than 5 rows
+    ds = random_dataset(random.Random(7), k=6, m=24)
+    assert best_split_error(ds, 3) == 5
+    formula, _ = encode_maxsat(ds, 3)
+    res = maxsat_solve(formula, budget=60, upper=5)
     st = res.stats
-    assert (res.cost, res.iterations) == (5, 11)
+    assert (res.status, res.iterations) == (OPTIMUM, 1)
     # unlike the pigeonhole pins, these counts also follow the encoding of
     # the cost bound (cnf.at_most_k) and the order in which the solver
     # propagates its ternaries in place, not only the search
-    assert (st.conflicts, st.decisions, st.propagations) == (1546, 2227, 112958)
+    assert (st.conflicts, st.decisions, st.propagations) == (1203, 1519, 86158)
 
 
 def _wide_probe(seed: int):
@@ -589,109 +597,90 @@ def test_learned_clause_deletion_triggers():
 
 
 def test_maxsat_all_hard_satisfiable():
-    res = maxsat_solve(_formula([[1, 2], [-1, 2]], 2), budget=5)
-    assert res.status == OPTIMUM
-    assert res.cost == 0
-    assert res.optimal
+    f = _formula([[1, 2], [-1, 2]], 2)
+    f.add_soft([1])
+    certified_optimum(f, 0, budget=5)
 
 
 def test_maxsat_one_of_two_units_must_fail():
     f = cnf.Formula(1)
     f.add_soft([1])
     f.add_soft([-1])
-    res = maxsat_solve(f, budget=5)
-    assert res.status == OPTIMUM
-    assert res.cost == 1
+    certified_optimum(f, 1, budget=5)
 
 
 def test_maxsat_cost_matches_model_recount():
+    # every bound against brute force: at or below the optimum the call
+    # proves it, above it the call returns a model whose recounted cost
+    # lies between the optimum and the bound
     rng = random.Random(9)
+    statuses = set()
     for _ in range(25):
         clauses, n = random_formula(rng, max_vars=10, max_clauses=25)
-        f = cnf.Formula(n)
-        hard, soft = clauses[: len(clauses) // 2], clauses[len(clauses) // 2 :]
-        for c in hard:
-            f.add_hard(c)
-        for c in soft:
-            f.add_soft(c)
-        if enumerate_sat(hard, n) is None:
-            with pytest.raises(SolverError):
-                maxsat_solve(f, budget=30)
-            continue
-        res = maxsat_solve(f, budget=30)
-        assert res.status == OPTIMUM
-        assert cnf.falsified_soft_weight(f, res.model) == res.cost
-        # exhaustive optimum over all assignments
-        best = min(
-            cnf.falsified_soft_weight(f, {v: (a >> (v - 1)) & 1 for v in range(1, n + 1)})
-            for a in range(1 << n)
-            if all(
-                cnf.clause_satisfied(c, {v: (a >> (v - 1)) & 1 for v in range(1, n + 1)})
-                for c in hard
-            )
+        f = _formula(clauses[: len(clauses) // 2], n)
+        for _ in range(rng.randint(1, 8)):
+            f.add_soft([rng.choice((-1, 1)) * rng.randint(1, n)])
+        assignments = (
+            {v: (a >> (v - 1)) & 1 for v in range(1, n + 1)} for a in range(1 << n)
         )
-        assert res.cost == best
+        # with no model of the hard clauses, every bound is proved
+        best = min(
+            (cnf.falsified_soft_weight(f, a) for a in assignments if cnf.verify_model(f, a)),
+            default=len(f.soft),
+        )
+        for upper in range(1, len(f.soft) + 1):
+            res = maxsat_solve(f, budget=30, upper=upper)
+            statuses.add(res.status)
+            assert res.iterations == 1
+            if upper <= best:
+                assert (res.status, res.model, res.cost) == (OPTIMUM, None, None)
+                continue
+            assert res.status == FEASIBLE and best <= res.cost < upper
+            assert cnf.verify_model(f, res.model)
+            assert cnf.falsified_soft_weight(f, res.model) == res.cost
+    assert statuses == {OPTIMUM, FEASIBLE}
 
 
-def test_an_optimal_upper_bound_needs_one_call(monkeypatch):
-    # nothing beats the optimum, so the one call is the UNSAT proof, and
-    # with no model to repair it builds no soft-unit repairer
-    soft_unit_repair, repairers = cnf.soft_unit_repair, []
-
-    def counting_repair(formula):
-        repairers.append(1)
-        return soft_unit_repair(formula)
-
-    monkeypatch.setattr(cnf, "soft_unit_repair", counting_repair)
+def test_an_optimal_upper_bound_needs_one_call():
+    # nothing beats the optimum, so the one call is the UNSAT proof
     rng = random.Random(13)
     for _ in range(3):
-        formula, _ctx = encode_maxsat(random_dataset(rng, k=4, m=12), 2)
-        plain = maxsat_solve(formula, budget=60)
-        assert plain.status == OPTIMUM and plain.cost > 0
-        assert len(repairers) == 1  # one repairer serves every model
-        bounded = maxsat_solve(formula, budget=60, upper=plain.cost)
-        assert bounded.status == OPTIMUM and bounded.optimal
-        assert bounded.model is None and bounded.cost is None
-        assert bounded.iterations == 1
-        assert len(repairers) == 1
-        repairers.clear()
+        ds = random_dataset(rng, k=4, m=12)
+        formula, _ctx = encode_maxsat(ds, 2)
+        best = best_split_error(ds, 2)
+        assert best > 0
+        res = maxsat_solve(formula, budget=60, upper=best)
+        assert (res.status, res.optimal, res.model, res.cost) == (OPTIMUM, True, None, None)
+        assert res.iterations == 1
 
 
 def test_an_upper_bound_above_the_optimum_descends_to_it():
+    # one above the optimum, the one call's model costs the optimum and
+    # keeps the tail order
     rng = random.Random(17)
     for _ in range(3):
-        formula, ctx = encode_maxsat(random_dataset(rng, k=5, m=16), 3)
-        opt = maxsat_solve(formula, budget=60).cost
-        sorted_tail = formula.copy()
-        sorted_tail.add_hard_clauses(ordered_tail(ctx))
-        res = maxsat_solve(sorted_tail, budget=60, upper=opt + 1)
-        assert res.status == OPTIMUM and res.cost == opt
-        assert res.iterations == 2  # a model of cost opt, then the proof
-        assert cnf.verify_model(formula, res.model)
-        assert cnf.falsified_soft_weight(formula, res.model) == opt
-        tail = decode(res.model, ctx)[0][1:]
-        assert tail == tuple(sorted(tail))  # every call gets the tail order
+        ds = random_dataset(rng, k=5, m=16)
+        formula, ctx = encode_maxsat(ds, 3)
+        formula.add_hard_clauses(ordered_tail(ctx))
+        model = certified_optimum(formula, best_split_error(ds, 3))
+        tail = decode(model, ctx)[0][1:]
+        assert tail == tuple(sorted(tail))
 
 
 def test_a_budget_stop_under_an_upper_bound_has_no_model():
-    # every assignment falsifies a clause of the unsatisfiable pigeonhole
-    # formula, so beating cost 1 means refuting it: the budget ends first
+    # each clause of the unsatisfiable pigeonhole formula may fail through
+    # its own soft unit, so beating cost 1 means refuting the formula: the
+    # budget ends first
     f = _pigeonhole(9)
     relaxed = cnf.Formula(f.var_count)
     for clause in f.hard:
-        relaxed.add_soft(clause)
+        fail = relaxed.fresh_var()
+        relaxed.add_hard(clause + [fail])
+        relaxed.add_soft([-fail])
     res = maxsat_solve(relaxed, budget=0.05, upper=1)
     assert res.status == TIMEOUT_NO_SOLUTION
     assert res.model is None and res.cost is None
     assert not res.optimal
-
-
-def test_unsatisfiable_hard_clauses_raise_under_a_bound_that_excludes_nothing():
-    f = _formula([[1], [-1]], 1)
-    f.add_soft([1])
-    for upper in (None, 2):  # with one soft clause, 2 excludes nothing either
-        with pytest.raises(SolverError):
-            maxsat_solve(f, budget=5, upper=upper)
 
 
 def test_no_solver_is_built_after_the_deadline(monkeypatch):
@@ -709,41 +698,31 @@ def test_no_solver_is_built_after_the_deadline(monkeypatch):
 
     monkeypatch.setattr(cnf, "at_most_k", slow_at_most_k)
     monkeypatch.setattr(cdcl, "CdclSolver", counting_solver)
-    res = maxsat_solve(formula, budget=0.3)
-    assert res.status == FEASIBLE and res.cost > 0
-    assert len(built) == 1  # the first call's solver only
-    assert res.iterations == 1
+    res = maxsat_solve(formula, budget=0.3, upper=len(formula.soft) // 2)
+    assert (res.status, res.model, res.cost) == (TIMEOUT_NO_SOLUTION, None, None)
+    assert not res.optimal
+    assert not built and res.iterations == 0
 
 
 def test_maxsat_rejects_general_weights():
-    f = cnf.Formula(1)
-    f.add_soft([1], weight=2)
-    with pytest.raises(ValueError):
-        maxsat_solve(f)
+    weighted = cnf.Formula(1)
+    weighted.add_soft([1], weight=2)
+    wide = cnf.Formula(2)
+    wide.add_soft([1, 2])
+    units = cnf.Formula(1)
+    units.add_soft([1])
+    units.add_soft([-1])
+    for f, upper in ((weighted, 1), (wide, 1), (units, 0), (units, 3)):
+        with pytest.raises(ValueError):
+            maxsat_solve(f, upper=upper)
 
 
 def test_maxsat_timeout_before_any_model():
     f = _pigeonhole(9)
     f.add_soft([1])
-    res = maxsat_solve(f, budget=0.02)
+    res = maxsat_solve(f, budget=0.02, upper=1)
     assert res.status == TIMEOUT_NO_SOLUTION
     assert res.model is None
-
-
-def test_maxsat_feasible_when_budget_dies_mid_descent():
-    # soft-only instance with a slow hard core: the first model arrives,
-    # the descent then runs out of time
-    f = _pigeonhole(8)
-    relaxed = cnf.Formula(f.var_count)
-    for clause in f.hard:
-        relaxed.add_soft(clause)
-    res = maxsat_solve(relaxed, budget=0.3)
-    if res.status == FEASIBLE:
-        assert res.model is not None
-        assert res.cost >= 1
-        assert not res.optimal
-    else:  # a fast machine may finish; then the answer must be optimal
-        assert res.status == OPTIMUM
 
 
 # --- external bridge -------------------------------------------------------
@@ -825,7 +804,7 @@ def test_external_wcnf_cost_mismatch_is_rejected(tmp_path):
 
 def test_external_feasible_model_reports_real_error_count(tmp_path, demo8):
     formula, _ = encode_maxsat(demo8, 2)
-    model = maxsat_solve(formula, budget=30).model
+    model = certified_optimum(formula, 0, budget=30)
     error = -formula.soft[0][0][0]
     model[error] = 1  # an unneeded error literal: the example is classified right
     lits = " ".join(str(v if model[v] else -v) for v in sorted(model))
