@@ -54,22 +54,6 @@ class TruthTable:
         return self.cells
 
 
-def subtables(table) -> set[str]:
-    """All recursive halves of ``table``, the table itself included."""
-    out: set[str] = set()
-    stack = [_cells(table)]
-    while stack:
-        s = stack.pop()
-        if s in out:
-            continue
-        out.add(s)
-        if len(s) > 1:
-            half = len(s) // 2
-            stack.append(s[:half])
-            stack.append(s[half:])
-    return out
-
-
 def is_bead(s: str) -> bool:
     """True iff the two halves differ; single cells are always beads."""
     _check_power_of_two(len(s))

@@ -7,17 +7,17 @@ uses, and at a larger bound, the MaxSAT cost bound, with a totalizer.
 Literals are signed DIMACS-style integers throughout the package: ``+v``
 is the Boolean variable ``v`` and ``-v`` its negation, with ``v >= 1``.
 A clause is a list of such literals.  A formula's hard clauses are a
-:class:`Clauses` sequence, which may also hold two kinds of clause
+:class:`Clauses` container, which may also hold two kinds of clause
 family: the feature-value links, :class:`ValueLinks`, and the totalizer
 of a cost bound, :class:`Totalizer`.  A family is counted and written
-without its clauses being kept.  The solver takes the links into its
-implication lists and reads the totalizer node by node, propagating its
-ternaries in place, so it builds the clauses of neither.
+without its clauses being kept, and iterating it builds each clause as a
+fresh list that no part of the formula stores.  The solver takes the
+links into its implication lists and reads the totalizer node by node,
+propagating its ternaries in place, so it builds the clauses of neither.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 import operator
 from dataclasses import dataclass
@@ -44,8 +44,8 @@ class ValueLinks:
     position ``i``'s value on row ``q``, and the ``val`` literal is
     positive where ``rows[q][r]`` is 1.  The clauses run over ``q``, then
     ``i``, then ``r``: ``len(rows) * len(val) * len(sel)`` of them.  The
-    family holds its three tables only; :meth:`clauses` builds the lists
-    and :meth:`write` renders the text without them.
+    family holds its three tables only; iterating builds each clause as a
+    fresh list and :meth:`write` renders the text without them.
     """
 
     __slots__ = ("sel", "val", "rows")
@@ -64,14 +64,12 @@ class ValueLinks:
     def literal_count(self) -> int:
         return 2 * len(self)
 
-    def clauses(self) -> list[list[int]]:
+    def __iter__(self) -> Iterator[list[int]]:
         unplaced = [[-s[i] for s in self.sel] for i in range(len(self.val))]
-        links: list[list[int]] = []
         for q, row in enumerate(self.rows):
             for not_here, val in zip(unplaced, self.val):
                 signed = (-val[q], val[q])
-                links += [[x, signed[bit]] for x, bit in zip(not_here, row)]
-        return links
+                yield from [[x, signed[bit]] for x, bit in zip(not_here, row)]
 
     def write(self, out: TextIO, prefix: str = "") -> None:
         """Write each clause as a DIMACS line led by ``prefix``.
@@ -218,24 +216,21 @@ class Totalizer:
     def __iter__(self) -> Iterator[list[int]]:
         return itertools.chain.from_iterable(self._rows())
 
-    def clauses(self) -> list[list[int]]:
-        return list(self)
-
     def write(self, out: TextIO, prefix: str = "") -> None:
         _write_clauses(out, self, prefix)
 
 
-class Clauses(Sequence):
+class Clauses:
     """The hard clauses of a formula: clause lists and families, in order.
 
     ``parts`` holds lists of clauses and clause families: any part that is
-    not a list is a :class:`ValueLinks` or a :class:`Totalizer`.  ``len``,
-    :func:`literal_count` and the DIMACS emitters read a family without
-    keeping its clauses, :class:`~bddlearn.solve.cdcl.CdclSolver` takes it
-    into its own store, and :meth:`extend` with another ``Clauses`` shares
-    its families by reference.  Every other read (iteration,
-    indexing, slicing, ``in``, ``==``) goes through :meth:`as_list`, which
-    expands the families once and keeps the result as the one part.
+    not a list is a :class:`ValueLinks` or a :class:`Totalizer`.  Only
+    :meth:`extend` and :meth:`add_family` change it.  ``len``,
+    :func:`literal_count` and the DIMACS emitters read a family as it is,
+    :class:`~bddlearn.solve.cdcl.CdclSolver` takes it into its own store,
+    and :meth:`extend` with another ``Clauses`` shares its families by
+    reference.  Iterating yields every clause in order: a list part's own
+    clauses, and a family's built afresh and kept by no part.
     """
 
     __slots__ = ("parts", "_len")
@@ -246,6 +241,9 @@ class Clauses(Sequence):
 
     def __len__(self) -> int:
         return self._len
+
+    def __iter__(self) -> Iterator[list[int]]:
+        return itertools.chain.from_iterable(self.parts)
 
     def extend(self, clauses: Iterable[list[int]]) -> None:
         if type(clauses) is Clauses:  # its families join unexpanded
@@ -266,44 +264,16 @@ class Clauses(Sequence):
         self.parts.append(family)
         self._len += len(family)
 
-    def as_list(self) -> list[list[int]]:
-        """Every clause as a list, in order; the sequence's own storage."""
-        if len(self.parts) > 1 or type(self.parts[0]) is not list:
-            flat: list[list[int]] = []
-            for part in self.parts:
-                flat += part if type(part) is list else part.clauses()
-            self.parts = [flat]
-        return self.parts[0]
-
-    def __iter__(self):
-        return iter(self.as_list())
-
-    def __getitem__(self, index):
-        return self.as_list()[index]
-
-    def __contains__(self, clause) -> bool:
-        return clause in self.as_list()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Clauses):
-            other = other.as_list()
-        return self.as_list() == other
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"Clauses({self.as_list()!r})"
-
 
 class Formula:
     """A CNF formula split into hard clauses and weighted soft clauses.
 
-    ``hard`` is a :class:`Clauses` sequence: clause lists and two kinds of
-    clause family, the links of :meth:`add_value_links` and the cost bound
-    of :func:`at_most_k`, which stay unexpanded until a model check or
-    :meth:`copy` iterates the clauses.  Construction is
-    single-writer: build the formula, then treat it as immutable (``copy``
-    before mutating a shared instance).
+    ``hard`` is a :class:`Clauses` container: clause lists and two kinds
+    of clause family, the links of :meth:`add_value_links` and the cost
+    bound of :func:`at_most_k`.  The families stay as built: a model check
+    or :meth:`copy` iterates their clauses without storing them.
+    Construction is single-writer: build the formula, then treat it as
+    immutable (``copy`` before mutating a shared instance).
     """
 
     __slots__ = ("var_count", "hard", "soft")
@@ -358,7 +328,7 @@ class Formula:
         """
         ids = [*itertools.chain(*links.sel), *itertools.chain(*links.val)]
         if ids and (min(ids) < 1 or max(ids) > self.var_count):
-            for clause in links.clauses():
+            for clause in links:
                 self._checked(clause)
         self.hard.add_family(links)
 
@@ -406,6 +376,7 @@ def at_most_k(formula: Formula, lits: Iterable[int], k: int) -> None:
     if k == 0:
         formula.add_hard_clauses([[-x] for x in lits])
         return
+    formula._checked([-x for x in lits])  # every clause holds inputs negated
     if k == 1:
         # reg[i] reads "at least one of the first i+1 literals is true"
         reg = [formula.fresh_var() for _ in range(n)]
@@ -414,7 +385,6 @@ def at_most_k(formula: Formula, lits: Iterable[int], k: int) -> None:
             ladder += [-lits[i], reg[i]], [-reg[i - 1], reg[i]], [-lits[i], -reg[i - 1]]
         formula.add_hard_clauses(ladder)
         return
-    formula._checked([-x for x in lits])  # every clause holds inputs negated
     family = Totalizer(lits, k, formula.var_count + 1)
     formula.var_count += family.var_count
     formula.hard.add_family(family)
@@ -563,18 +533,6 @@ def emit_dimacs_wcnf(formula: Formula, out: TextIO) -> None:
     _write_clauses(out, ((w, *c) for c, w in formula.soft))
 
 
-def dimacs_cnf(formula: Formula) -> str:
-    buf = io.StringIO()
-    emit_dimacs_cnf(formula, buf)
-    return buf.getvalue()
-
-
-def dimacs_wcnf(formula: Formula) -> str:
-    buf = io.StringIO()
-    emit_dimacs_wcnf(formula, buf)
-    return buf.getvalue()
-
-
 @dataclass(frozen=True)
 class SolverOutput:
     """Status/model/cost triple parsed from a solver log."""
@@ -594,9 +552,13 @@ _STATUS_MAP = {
 
 def _assignment_from_tokens(tokens: list[str]) -> dict[int, int]:
     # Two v-line dialects: signed integers (0-terminated) and a plain
-    # 0/1 bit string giving variables 1..n in order.
-    if tokens and all(set(t) <= {"0", "1"} for t in tokens) and any(
-        len(t) > 1 for t in tokens
+    # 0/1 bit string giving variables 1..n in order.  A lone final "0" is
+    # the signed dialect's terminator, whatever ids come before it.
+    if (
+        tokens
+        and tokens[-1] != "0"
+        and all(set(t) <= {"0", "1"} for t in tokens)
+        and any(len(t) > 1 for t in tokens)
     ):
         bits = "".join(tokens)
         return {i + 1: int(b) for i, b in enumerate(bits)}

@@ -224,7 +224,7 @@ def _feature_value_links(
     position, feature; given ``rows``, over those examples only, in
     their order.  Counting and emitting the formula, and the embedded
     solver, read the family as it is; a model check that iterates
-    ``formula.hard`` expands it once.
+    ``formula.hard`` builds its clauses afresh and keeps none.
     """
     assert ctx.d is not None
     val, features = ctx.d, dataset.features

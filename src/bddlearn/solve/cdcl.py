@@ -187,7 +187,6 @@ class CdclSolver:
                         self.expired = True
                         return
                     continue
-                part = part.clauses()
             elif isinstance(part, cnf.Totalizer):
                 if not self._bound(part, occurs, deadline):
                     self.expired = True

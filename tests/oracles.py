@@ -9,6 +9,7 @@ certificate to an optimum that an oracle here computed.
 
 from __future__ import annotations
 
+import io
 import random
 from functools import lru_cache
 from itertools import permutations
@@ -295,3 +296,17 @@ def random_formula(rng: random.Random, max_vars: int = 20, max_clauses: int = 90
         variables = rng.sample(range(1, n + 1), width)
         clauses.append([v if rng.random() < 0.5 else -v for v in variables])
     return clauses, n
+
+
+def dimacs_cnf(formula: cnf.Formula) -> str:
+    """The DIMACS CNF text :func:`cnf.emit_dimacs_cnf` writes for ``formula``."""
+    out = io.StringIO()
+    cnf.emit_dimacs_cnf(formula, out)
+    return out.getvalue()
+
+
+def dimacs_wcnf(formula: cnf.Formula) -> str:
+    """The weighted DIMACS text :func:`cnf.emit_dimacs_wcnf` writes for ``formula``."""
+    out = io.StringIO()
+    cnf.emit_dimacs_wcnf(formula, out)
+    return out.getvalue()

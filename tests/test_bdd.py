@@ -20,7 +20,6 @@ from bddlearn.bdd import (
     gen_bdd,
     is_bead,
     node_count,
-    subtables,
 )
 from oracles import audit_bdd
 
@@ -32,24 +31,6 @@ def test_truth_table_validation():
         TruthTable("101")
     with pytest.raises(BddError):
         TruthTable("10u0")
-
-
-def test_subtables_recursive_halving():
-    assert subtables("00010111") == {
-        "00010111",
-        "0001",
-        "0111",
-        "00",
-        "01",
-        "11",
-        "0",
-        "1",
-    }
-
-
-def test_subtables_degenerate():
-    assert subtables("0") == {"0"}
-    assert subtables("00") == {"00", "0"}
 
 
 def test_is_bead():

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bddlearn import cnf, encode
-from oracles import projected_models, random_dataset, random_formula, unit_propagate
+from oracles import (
+    dimacs_cnf,
+    dimacs_wcnf,
+    projected_models,
+    random_dataset,
+    random_formula,
+    unit_propagate,
+)
 
 
 def test_fresh_var_counts_up():
@@ -45,9 +52,9 @@ def test_add_hard_clauses_names_a_bad_literal_and_adds_nothing(bad):
         f.add_hard_clauses([[1, -2], [2, bad], [-1]])
     with pytest.raises(cnf.FormulaError, match="empty clause"):
         f.add_hard_clauses([[1, -2], []])
-    assert f.hard == [[1]]
+    assert list(f.hard) == [[1]]
     f.add_hard_clauses([[1, -2], [2]])
-    assert f.hard == [[1], [1, -2], [2]]
+    assert list(f.hard) == [[1], [1, -2], [2]]
 
 
 def _all_models(formula, onto):
@@ -65,7 +72,7 @@ def test_at_most_one_excludes_pairs():
 def test_at_most_k_vacuous_bound_adds_nothing():
     f = cnf.Formula(3)
     cnf.at_most_k(f, [1, 2, 3], 3)
-    assert f.hard == []
+    assert list(f.hard) == []
     assert f.var_count == 3
 
 
@@ -142,7 +149,19 @@ def test_at_most_k_with_a_bad_literal_adds_nothing(k):
     f.add_hard([1, 2])
     with pytest.raises(cnf.FormulaError, match="literal -99 outside variable range"):
         cnf.at_most_k(f, [1, 2, 99], k)
-    assert f.hard == [[1, 2]]
+    assert list(f.hard) == [[1, 2]]
+
+
+def test_at_most_one_screens_its_literals_before_reserving_registers():
+    # a literal past var_count must fail as itself, not pass as the number
+    # of a register reserved for the ladder, and must leave no register
+    f = cnf.Formula(5)
+    with pytest.raises(cnf.FormulaError, match="literal -7 outside variable range 1..5"):
+        cnf.at_most_k(f, [1, 7], 1)
+    assert (f.var_count, len(f.hard), list(f.hard)) == (5, 0, [])
+    with pytest.raises(cnf.FormulaError, match="literal -99 outside"):
+        cnf.at_most_k(f, [1, 99], 1)
+    assert (f.var_count, len(f.hard), list(f.hard)) == (5, 0, [])
 
 
 # sha256 of the DIMACS text of ``at_most_k`` formulas, taken while the
@@ -168,7 +187,7 @@ def test_the_totalizer_text_is_pinned(n, k):
     f = cnf.Formula(n)
     cnf.at_most_k(f, _bound_lits(n), k)
     assert [type(part) for part in f.hard.parts] == [list, cnf.Totalizer]
-    text = cnf.dimacs_cnf(f)
+    text = dimacs_cnf(f)
     assert hashlib.sha256(text.encode()).hexdigest() == _BOUND_PINS[n, k]
 
 
@@ -179,12 +198,12 @@ def test_the_totalizer_counts_itself_as_its_clauses():
             f = cnf.Formula(n + 1)
             cnf.at_most_k(f, [v if v % 4 else -v for v in range(2, n + 2)], k)
             family = f.hard.parts[-1]
-            clauses = family.clauses()
+            clauses = list(family)
             assert len(family) == len(f.hard) == len(clauses), (n, k)
             assert family.literal_count() == cnf.literal_count(f) == sum(map(len, clauses))
             assert f.var_count == n + 1 + family.var_count
             assert max(abs(x) for c in clauses for x in c) == f.var_count
-            grid.update(cnf.dimacs_cnf(f).encode())
+            grid.update(dimacs_cnf(f).encode())
     assert grid.hexdigest() == _BOUND_GRID_PIN
 
 
@@ -206,7 +225,7 @@ def test_a_large_bound_builds_no_clause():
 def test_exactly_one_single_literal():
     f = cnf.Formula(1)
     cnf.exactly_one(f, [1])
-    assert f.hard == [[1]]
+    assert list(f.hard) == [[1]]
 
 
 def test_exactly_one_two_literals_models():
@@ -245,18 +264,18 @@ def test_literal_count_additive_over_concatenation():
 def test_emit_dimacs_cnf_exact():
     f = cnf.Formula(2)
     f.add_hard([1, -2])
-    assert cnf.dimacs_cnf(f) == "p cnf 2 1\n1 -2 0\n"
+    assert dimacs_cnf(f) == "p cnf 2 1\n1 -2 0\n"
 
 
 def test_emit_dimacs_cnf_no_clauses():
-    assert cnf.dimacs_cnf(cnf.Formula(5)) == "p cnf 5 0\n"
+    assert dimacs_cnf(cnf.Formula(5)) == "p cnf 5 0\n"
 
 
 def test_emit_dimacs_cnf_rejects_soft():
     f = cnf.Formula(1)
     f.add_soft([1])
     with pytest.raises(cnf.FormulaError):
-        cnf.dimacs_cnf(f)
+        dimacs_cnf(f)
 
 
 def test_emit_dimacs_wcnf_top_weight():
@@ -264,7 +283,7 @@ def test_emit_dimacs_wcnf_top_weight():
     f.add_hard([1, 2])
     f.add_soft([1])
     f.add_soft([-2])
-    text = cnf.dimacs_wcnf(f)
+    text = dimacs_wcnf(f)
     lines = text.splitlines()
     assert lines[0] == "p wcnf 2 3 3"
     assert lines[1].startswith("3 ")
@@ -276,14 +295,14 @@ def test_emit_dimacs_wcnf_all_hard():
     f = cnf.Formula(2)
     f.add_hard([1])
     f.add_hard([2])
-    lines = cnf.dimacs_wcnf(f).splitlines()
+    lines = dimacs_wcnf(f).splitlines()
     top = lines[0].split()[-1]
     assert top == "1"
     assert all(line.startswith(f"{top} ") for line in lines[1:])
 
 
 def test_emit_dimacs_wcnf_empty():
-    assert cnf.dimacs_wcnf(cnf.Formula(3)) == "p wcnf 3 0 1\n"
+    assert dimacs_wcnf(cnf.Formula(3)) == "p wcnf 3 0 1\n"
 
 
 def _line_by_line_cnf(formula: cnf.Formula) -> str:
@@ -324,7 +343,7 @@ def test_emission_matches_a_line_by_line_writer(seed, n_soft, chunk):
     try:
         for size in (chunk, default):  # many chunks, then one
             cnf._EMIT_CHUNK = size
-            assert (cnf.dimacs_cnf(hard), cnf.dimacs_wcnf(weighted)) == expected
+            assert (dimacs_cnf(hard), dimacs_wcnf(weighted)) == expected
     finally:
         cnf._EMIT_CHUNK = default
 
@@ -359,9 +378,9 @@ def test_emission_of_encoded_formulas_matches_a_line_by_line_writer(formula):
     try:
         for size in (end, end - 1, 1, 7, default):
             cnf._EMIT_CHUNK = size
-            assert cnf.dimacs_wcnf(formula) == _line_by_line_wcnf(formula)
+            assert dimacs_wcnf(formula) == _line_by_line_wcnf(formula)
             if not formula.soft:
-                assert cnf.dimacs_cnf(formula) == _line_by_line_cnf(formula)
+                assert dimacs_cnf(formula) == _line_by_line_cnf(formula)
     finally:
         cnf._EMIT_CHUNK = default
 
@@ -391,10 +410,10 @@ def test_emitted_text_of_each_encoding_is_pinned(shape):
     tail, ctx = encode.encode_maxsat(ds, depth)
     tail.add_hard_clauses(encode.ordered_tail(ctx))
     texts = {
-        "bdd1": cnf.dimacs_cnf(encode.encode_bdd1(ds, depth)[0]),
-        "bdd2": cnf.dimacs_cnf(encode.encode_bdd2(ds, depth)[0]),
-        "maxsat": cnf.dimacs_wcnf(encode.encode_maxsat(ds, depth)[0]),
-        "maxsat-tail": cnf.dimacs_wcnf(tail),
+        "bdd1": dimacs_cnf(encode.encode_bdd1(ds, depth)[0]),
+        "bdd2": dimacs_cnf(encode.encode_bdd2(ds, depth)[0]),
+        "maxsat": dimacs_wcnf(encode.encode_maxsat(ds, depth)[0]),
+        "maxsat-tail": dimacs_wcnf(tail),
     }
     digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
     assert digests == _TEXT_PINS[shape]
@@ -418,10 +437,10 @@ def test_link_family_expands_to_the_reference_links(encoder, k, m, depth):
     head, links, tail = formula.hard.parts
     assert isinstance(links, cnf.ValueLinks)
     reference = _reference_links(ctx, ds)
-    assert links.clauses() == reference
+    assert list(links) == reference
     assert len(formula.hard) == len(head) + len(reference) + len(tail)
-    assert formula.hard == head + reference + tail
-    assert len(formula.hard.parts) == 1  # expanded once, and kept
+    assert list(formula.hard) == head + reference + tail
+    assert formula.hard.parts == [head, links, tail]  # iterating keeps the parts
 
 
 def test_counting_and_emitting_leave_the_link_family_unexpanded(monkeypatch):
@@ -430,7 +449,7 @@ def test_counting_and_emitting_leave_the_link_family_unexpanded(monkeypatch):
     def no_lists(self):
         raise AssertionError("the link family was expanded")
 
-    monkeypatch.setattr(cnf.ValueLinks, "clauses", no_lists)
+    monkeypatch.setattr(cnf.ValueLinks, "__iter__", no_lists)
     for variant, encoder, emit in (
         (encode.MAXSAT, encode.encode_maxsat, cnf.emit_dimacs_wcnf),
         (encode.BDD2, encode.encode_bdd2, cnf.emit_dimacs_cnf),
@@ -464,7 +483,7 @@ def test_rendered_link_family_matches_a_line_by_line_writer(seed, chunk):
     default = cnf._EMIT_CHUNK
     try:
         cnf._EMIT_CHUNK = chunk
-        text = cnf.dimacs_wcnf(rendered)
+        text = dimacs_wcnf(rendered)
     finally:
         cnf._EMIT_CHUNK = default
     assert isinstance(rendered.hard.parts[1], cnf.ValueLinks)
@@ -485,7 +504,7 @@ def test_link_family_out_of_range_raises_the_checked_message_and_adds_nothing(wh
         val[1][3] = -(n + 2)
     links = cnf.ValueLinks(sel, val, ds.features)
     with pytest.raises(cnf.FormulaError) as expected:
-        for clause in links.clauses():
+        for clause in links:
             formula._checked(clause)
     before = (len(formula.hard), list(formula.hard))
     with pytest.raises(cnf.FormulaError) as raised:
@@ -505,6 +524,12 @@ def test_parse_model_unsat_raises():
 
 def test_parse_model_bit_string_dialect():
     assert cnf.parse_model("s OPTIMUM FOUND\nv 10\n") == {1: 1, 2: 0}
+
+
+def test_parse_model_signed_dialect_with_ids_of_0s_and_1s():
+    # a solver that prints its true literals only: the lone final 0 marks
+    # the signed dialect, though every id is written in 0s and 1s
+    assert cnf.parse_solver_output("s SATISFIABLE\nv 1 10 0\n").model == {1: 1, 10: 1}
 
 
 def test_parse_model_multiline_v():

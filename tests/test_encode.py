@@ -17,7 +17,7 @@ from bddlearn.encode import (
     ordered_tail,
 )
 from bddlearn.solve import sat_solve
-from oracles import best_split_error, certified_optimum, random_dataset
+from oracles import best_split_error, certified_optimum, dimacs_wcnf, random_dataset
 
 
 def test_bdd1_emits_simplified_clause_for_first_negative_example(demo8):
@@ -70,7 +70,7 @@ def test_bdd2_classification_clauses_have_depth_plus_one_literals(demo8):
     for depth in (1, 2, 3):
         formula, ctx = encode_bdd2(demo8, depth)
         n_cls = demo8.m * (1 << depth)
-        for clause in formula.hard[-n_cls:]:
+        for clause in list(formula.hard)[-n_cls:]:
             assert len(clause) == depth + 1
 
 
@@ -161,7 +161,8 @@ def test_maxsat_one_soft_unit_per_example(demo8):
     assert errors == list(range(formula.var_count - demo8.m + 1, formula.var_count + 1))
     # the classification clauses come last, one per example and cell
     n_cells = 1 << depth
-    clauses = formula.hard[-demo8.m * n_cells :]
+    hard = list(formula.hard)
+    clauses = hard[-demo8.m * n_cells :]
     for idx, clause in enumerate(clauses):
         q = idx // n_cells
         assert clause[-1] == errors[q]
@@ -170,7 +171,7 @@ def test_maxsat_one_soft_unit_per_example(demo8):
         assert set(map(abs, clause[:-2])) == {ctx.d[i][q] for i in range(depth)}
     # the error variables occur in no other clause
     error_vars = set(errors)
-    head = formula.hard[: -len(clauses)]
+    head = hard[: -len(clauses)]
     assert not any(abs(lit) in error_vars for clause in head for lit in clause)
 
 
@@ -350,7 +351,7 @@ def test_rows_of_one_vector_share_their_d_variables():
     ds = random_dataset(random.Random(0), k=8, m=16)
     assert len(set(ds.features)) == ds.m
     shared, per_example = (
-        cnf.dimacs_wcnf(encode_maxsat(ds, 3, share_vectors=share)[0])
+        dimacs_wcnf(encode_maxsat(ds, 3, share_vectors=share)[0])
         for share in (True, False)
     )
     assert shared == per_example

@@ -188,11 +188,6 @@ def _has_links(formula: cnf.Formula) -> bool:
     return any(isinstance(part, cnf.ValueLinks) for part in formula.hard.parts)
 
 
-def _expanded(hard: cnf.Clauses) -> list[list[int]]:
-    """The clauses of ``hard`` in order, leaving its families unexpanded."""
-    return [c for part in hard.parts for c in (part if type(part) is list else part.clauses())]
-
-
 def _links_expanded(hard: cnf.Clauses) -> cnf.Clauses:
     """``hard`` with its feature-value links as clause lists; a totalizer
     stays a family, which the solver reads in place either way."""
@@ -201,7 +196,7 @@ def _links_expanded(hard: cnf.Clauses) -> cnf.Clauses:
         if isinstance(part, cnf.Totalizer):
             flat.add_family(part)
         else:
-            flat.extend(part if type(part) is list else part.clauses())
+            flat.extend(part)
     return flat
 
 
@@ -266,7 +261,7 @@ def test_random_formulas_with_a_family_solve_as_their_expanded_clauses():
         hard.extend(head + special)
         hard.add_family(links)
         hard.extend(tail)
-        flat = head + special + links.clauses() + tail
+        flat = head + special + list(links) + tail
         result = _run(hard, n, seed=trial)
         assert result == _run(flat, n, seed=trial)
         status, model, counters = result
@@ -283,7 +278,7 @@ def test_a_problem_binary_is_kept_as_an_implication_only():
     formula, ctx = encode_maxsat(random_dataset(random.Random(3), k=5, m=16), 3)
     formula.add_hard_clauses(ordered_tail(ctx))
     solver = CdclSolver(formula.hard, formula.var_count)
-    binaries = [c for c in _expanded(formula.hard) if len(c) == 2]
+    binaries = [c for c in list(formula.hard) if len(c) == 2]
     assert binaries and solver.n_binary == len(binaries)
     assert solver.n_problem == len(solver.clauses)
     assert all(len(c) > 2 for c in solver.clauses)  # no list for a binary
@@ -299,13 +294,41 @@ def test_a_problem_binary_is_kept_as_an_implication_only():
     assert solver.implied == implied
 
 
+@pytest.mark.parametrize("bounded", [False, True], ids=["maxsat", "maxsat-bound"])
+def test_reading_a_formula_leaves_it_as_built(monkeypatch, bounded):
+    # a model check, a copy and a repairer read every clause; the links and
+    # the bound must stay the families the encoder made, so a solver built
+    # after them still reads the links into its implication lists unbuilt
+    ds = random_dataset(random.Random(13), k=5, m=16)
+    formula, _ = encode_maxsat(ds, 3)
+    if bounded:
+        cnf.at_most_k(formula, [-c[0] for c, _ in formula.soft], best_split_error(ds, 3))
+    parts = list(formula.hard.parts)
+    assert any(isinstance(p, cnf.ValueLinks) for p in parts)
+    assert isinstance(parts[-1], cnf.Totalizer) == bounded
+    clauses = list(formula.hard)
+    res = CdclSolver(formula.hard, formula.var_count).solve(60)
+    assert res.status == SAT and cnf.verify_model(formula, res.model)
+    dup = formula.copy()
+    cnf.soft_unit_repair(formula)(res.model)
+    assert len(formula.hard.parts) == len(parts)
+    assert all(now is then for now, then in zip(formula.hard.parts, parts))
+    assert list(formula.hard) == list(formula.hard) == list(dup.hard) == clauses
+
+    def unbuilt(self):
+        raise AssertionError("the feature-value links were expanded")
+
+    monkeypatch.setattr(cnf.ValueLinks, "__iter__", unbuilt)
+    assert CdclSolver(formula.hard, formula.var_count).solve(60).status == SAT
+
+
 def test_a_certificate_never_builds_the_link_family(monkeypatch):
     # the proof formulas carry the family by reference into the solver;
     # only a model check would expand it
     def unbuilt(self):
         raise AssertionError("the feature-value links were expanded")
 
-    monkeypatch.setattr(cnf.ValueLinks, "clauses", unbuilt)
+    monkeypatch.setattr(cnf.ValueLinks, "__iter__", unbuilt)
     built = []
     solver_cls = cdcl.CdclSolver
 
@@ -328,7 +351,7 @@ def test_a_certificate_never_builds_the_link_family(monkeypatch):
 
 
 def _unbuilt_totalizer(self):
-    raise AssertionError("the totalizer was built as a list")
+    raise AssertionError("the totalizer's clauses were built")
 
 
 def _bounded_sat(clauses, n, lits, k) -> bool:
@@ -365,7 +388,7 @@ def test_the_solver_reads_a_totalizer_as_its_clauses(monkeypatch):
         k = rng.randint(2, len(lits) - 1)
         cnf.at_most_k(f, lits, k)
         with monkeypatch.context() as m:
-            m.setattr(cnf.Totalizer, "clauses", _unbuilt_totalizer)
+            m.setattr(cnf.Totalizer, "__iter__", _unbuilt_totalizer)
             result = _run(f.hard, f.var_count, seed=trial)
         # satisfiable iff some assignment of 1..n meets the clauses and the bound
         assert result[0] == (SAT if _bounded_sat(clauses, n, lits, k) else UNSAT)
@@ -386,7 +409,7 @@ def test_random_bounds_solve_as_their_expanded_clauses():
         f.add_hard_clauses(clauses)
         cnf.at_most_k(f, lits, k)
         family = f.hard.parts[-1]
-        flat = _expanded(f.hard)
+        flat = list(f.hard)
         max_learnts = 5 if trial % 3 == 0 else None
         solver = CdclSolver(f.hard, f.var_count, seed=trial, max_learnts=max_learnts)
         kept = {tuple(sorted(c)) for c in solver.clauses[: solver.n_problem]}
@@ -415,7 +438,7 @@ def test_every_ternary_reason_is_a_clause_of_its_family():
         f = cnf.Formula(n)
         f.add_hard_clauses(clauses)
         cnf.at_most_k(f, lits, rng.randint(2, len(lits) // 2))
-        family = {tuple(sorted(c)) for c in f.hard.parts[-1].clauses()}
+        family = {tuple(sorted(c)) for c in list(f.hard.parts[-1])}
         solver = CdclSolver(f.hard, f.var_count, seed=trial, max_learnts=10)
         solver.solve(60)
         for lit in solver.trail:
@@ -438,7 +461,7 @@ def test_propagation_leaves_no_clause_of_the_bound_unit():
         lits = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(6, 2 * n))]
         f = cnf.Formula(n)
         cnf.at_most_k(f, lits, rng.randint(2, len(lits) // 2))
-        family = f.hard.parts[-1].clauses()
+        family = list(f.hard.parts[-1])
         solver = CdclSolver(f.hard, f.var_count, seed=trial)
         val = solver.val
         for lit in solver._units:
@@ -513,7 +536,7 @@ def test_the_solver_looks_at_the_deadline_while_it_reads_a_totalizer(monkeypatch
 
 
 def test_a_certificate_never_builds_its_bound_as_lists(monkeypatch):
-    monkeypatch.setattr(cnf.Totalizer, "clauses", _unbuilt_totalizer)
+    monkeypatch.setattr(cnf.Totalizer, "__iter__", _unbuilt_totalizer)
     bounds = []
     solver_cls = cdcl.CdclSolver
 
